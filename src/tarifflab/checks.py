@@ -2,8 +2,9 @@
 
 Each check returns a CheckResult; the battery is also exercised directly by
 the test suite. Gradient/Hessian identities are verified by central finite
-differences: first derivatives use h = 1e-5 * max(1, |pi_k|); second
-derivatives use h = 1e-3 * max(1, |pi_k|) because the targets are exactly
+differences: first derivatives use `model.central_difference` with
+h = 1e-5 * max(1, |pi_k|); second derivatives use the four-point stencil
+below with h = 1e-3 * max(1, |pi_k|) because the targets are exactly
 quadratic (no truncation error) and the larger step suppresses cancellation
 noise at utility scale.
 """
@@ -22,6 +23,7 @@ from .model import (
     DemandModel,
     LinearDemandModel,
     Tariff,
+    central_difference,
     expected_demand,
     phi_bar,
     welfare_gains,
@@ -37,8 +39,9 @@ from .solvers import (
     solve_two_part,
 )
 
-GRAD_H_SCALE = 1e-5
 HESS_H_SCALE = 1e-3
+
+fd_gradient = central_difference
 
 
 @dataclass(frozen=True)
@@ -50,19 +53,6 @@ class CheckResult:
     @property
     def failed(self) -> bool:
         return self.status == "FAIL"
-
-
-def fd_gradient(f, pi: np.ndarray, h_scale: float = GRAD_H_SCALE) -> np.ndarray:
-    pi = np.asarray(pi, dtype=float)
-    out = np.empty(pi.size)
-    for t in range(pi.size):
-        h = h_scale * max(1.0, abs(pi[t]))
-        up = pi.copy()
-        dn = pi.copy()
-        up[t] += h
-        dn[t] -= h
-        out[t] = (f(up) - f(dn)) / (2.0 * h)
-    return out
 
 
 def fd_hessian(f, pi: np.ndarray, h_scale: float = HESS_H_SCALE) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,26 +41,12 @@ from .model import (
     retailer_surplus,
     welfare_gains,
 )
-from .pareto import ParetoFront, default_revenue_grid, sweep
-from .solvers import (
-    DEFAULT_CONFIG,
-    solve_adjusted_flat,
-    solve_flat_linear,
-    solve_linear,
-    solve_two_part,
-)
+from .pareto import FAMILIES, ParetoFront, ParetoPoint, default_revenue_grid, sweep
+from .solvers import DEFAULT_CONFIG
 from .svg import render_fronts
 
-FAMILY_ALIASES = {
-    "two-part": "two-part-optimal",
-    "two-part-optimal": "two-part-optimal",
-    "linear": "linear-optimal",
-    "linear-optimal": "linear-optimal",
-    "flat-linear": "flat-linear",
-    "fixed-a-two-part": "fixed-A-two-part",
-    "fixed-A-two-part": "fixed-A-two-part",
-    "adjusted-flat": "adjusted-flat",
-}
+# every accepted spelling of a family, its own name included
+_ALIASES = {a: f.name for f in FAMILIES.values() for a in (f.name, *f.aliases)}
 
 
 def _money(x: float) -> str:
@@ -70,19 +55,6 @@ def _money(x: float) -> str:
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("TARIFFLAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"TARIFFLAB_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"TARIFFLAB_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _write_manifest(out_path, command: str, inputs: dict, flags: dict) -> None:
@@ -138,14 +110,14 @@ def _resolve_target(raw: str, model: LinearDemandModel, baseline: Tariff) -> flo
 
 def _parse_families(raw: str) -> set[str]:
     if raw == "all":
-        return set(FAMILY_ALIASES.values())
+        return set(FAMILIES)
     names = [part.strip() for part in raw.split(",") if part.strip()]
-    unknown = [n for n in names if n not in FAMILY_ALIASES]
+    unknown = [n for n in names if n not in _ALIASES]
     if unknown or not names:
         raise ValueError(
             f"--families must list tariff families or 'all', got {raw!r}"
         )
-    return {FAMILY_ALIASES[n] for n in names}
+    return {_ALIASES[n] for n in names}
 
 
 def front_csv(fronts: list[ParetoFront], periods: int) -> str:
@@ -207,35 +179,6 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _solve_with_diagnostics(model, family, F, baseline):
-    config = DEFAULT_CONFIG
-    diagnostics: dict[str, float] = {}
-    if family == "two-part-optimal":
-        tariff = solve_two_part(model, F, config)
-    elif family == "linear-optimal":
-        sol = solve_linear(model, F, config)
-        tariff = sol.tariff
-        diagnostics = {"rho": sol.rho, "gamma": sol.gamma, "achieved_rs": sol.achieved_rs}
-    elif family == "flat-linear":
-        tariff = solve_flat_linear(model, F, config)
-    elif family == "fixed-A-two-part":
-        charge = baseline.connection_charge
-        sol = solve_linear(model, F - model.customers * charge, config)
-        tariff = Tariff(
-            connection_charge=charge, prices=sol.prices, family="fixed-A-two-part"
-        )
-        diagnostics = {"rho": sol.rho, "gamma": sol.gamma, "achieved_rs": sol.achieved_rs}
-    elif family == "adjusted-flat":
-        base_rate = float(baseline.prices[0])
-        tariff = solve_adjusted_flat(
-            model, F, base_rate, baseline.connection_charge, config
-        )
-        diagnostics = {"delta": float(tariff.prices[0]) - base_rate}
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return tariff, diagnostics
-
-
 def print_solution(
     family: str, F: float, tariff: Tariff, report: WelfareReport, diagnostics: dict
 ) -> None:
@@ -259,13 +202,13 @@ def cmd_solve(args) -> int:
     model = payload.to_model()
     baseline = _resolve_baseline(payload, model, args)
     F = _resolve_target(args.target_rs, model, baseline)
-    family = FAMILY_ALIASES[args.family]
-    tariff, diagnostics = _solve_with_diagnostics(model, family, F, baseline)
+    family = _ALIASES[args.family]
+    tariff, diagnostics = FAMILIES[family].solve(
+        model, F, DEFAULT_CONFIG, baseline.connection_charge, float(baseline.prices[0])
+    )
     report = welfare_gains(model, tariff, baseline)
     print_solution(family, F, tariff, report, diagnostics)
     if args.out:
-        from .pareto import ParetoPoint
-
         point = ParetoPoint(
             F=F,
             delta_cs=report.delta_cs,
@@ -302,9 +245,7 @@ def cmd_pareto(args) -> int:
         grid = np.linspace(args.f_min, args.f_max, steps)
     else:
         grid = default_revenue_grid(model, steps)
-    fronts = sweep(
-        model, baseline, families, grid, max_workers=_threads_from_env()
-    )
+    fronts = sweep(model, baseline, families, grid)
     csv_text = front_csv(fronts, model.periods)
     flags = {
         "families": sorted(families),
@@ -365,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one tariff family at a revenue target")
     solve.add_argument("--model", required=True)
-    solve.add_argument("--family", required=True, choices=sorted(FAMILY_ALIASES))
+    solve.add_argument("--family", required=True, choices=sorted(_ALIASES))
     solve.add_argument("--target-rs", required=True,
                        help="revenue target F in $/cycle, or 'baseline'")
     solve.add_argument("--flat-rate", type=float, default=None,

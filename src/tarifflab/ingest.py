@@ -410,13 +410,20 @@ def read_model_file(path) -> ModelFilePayload:
     G = _parse_floats(path, line_no, text, periods * periods, "g").reshape(
         periods, periods
     )
-    lams = np.empty((count, periods))
-    omegas = np.empty((count, periods))
+    # rows come from the parsed entries, so a scenario_count larger than the
+    # file stops at the first missing key instead of allocating up front
+    rows: dict[str, list[np.ndarray]] = {"lambda": [], "omega": []}
     for j in range(count):
-        line_no, text = need(f"scenario.{j}.lambda")
-        lams[j] = _parse_floats(path, line_no, text, periods, f"scenario.{j}.lambda")
-        line_no, text = need(f"scenario.{j}.omega")
-        omegas[j] = _parse_floats(path, line_no, text, periods, f"scenario.{j}.omega")
+        for kind, out in rows.items():
+            key = f"scenario.{j}.{kind}"
+            if key not in entries:
+                raise ModelFileError(
+                    path, entries["scenario_count"][0],
+                    f"scenario_count is {count} but {key!r} is missing",
+                )
+            line_no, text = entries[key]
+            out.append(_parse_floats(path, line_no, text, periods, key))
+    lams, omegas = np.array(rows["lambda"]), np.array(rows["omega"])
 
     # stored moments are derived; verify them against the scenarios so silent
     # file edits are caught at load time

@@ -11,7 +11,6 @@ tariff, where the unknown benefit offset cancels exactly.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,24 @@ TARIFF_FAMILIES = (
 )
 
 _SYMMETRY_TOL = 1e-12
+
+
+def central_difference(f, pi, h_scale: float = 1e-5) -> np.ndarray:
+    """Central-difference derivative of f at pi, one column per coordinate.
+
+    The step is h_scale * max(1, |pi_t|), the package-wide finite-difference
+    convention. Scalar f gives the gradient; vector f gives the Jacobian.
+    """
+    pi = np.asarray(pi, dtype=float)
+    columns = []
+    for t in range(pi.size):
+        h = h_scale * max(1.0, abs(pi[t]))
+        up = pi.copy()
+        dn = pi.copy()
+        up[t] += h
+        dn[t] -= h
+        columns.append((f(up) - f(dn)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
 
 
 def _readonly(a) -> np.ndarray:
@@ -124,19 +141,7 @@ class DemandModel:
         raise NotImplementedError
 
     def demand_jacobian(self, pi: np.ndarray, scenario: int) -> np.ndarray:
-        # central differences, h = 1e-5 * max(1, |pi_t|) per the package-wide
-        # finite-difference convention
-        pi = np.asarray(pi, dtype=float)
-        n = self.periods
-        jac = np.empty((n, n))
-        for t in range(n):
-            h = 1e-5 * max(1.0, abs(pi[t]))
-            up = pi.copy()
-            dn = pi.copy()
-            up[t] += h
-            dn[t] -= h
-            jac[:, t] = (self.demand(up, scenario) - self.demand(dn, scenario)) / (2.0 * h)
-        return jac
+        return central_difference(lambda p: self.demand(p, scenario), pi)
 
     def mean_demand(self, pi: np.ndarray) -> np.ndarray:
         return np.mean(
@@ -390,8 +395,3 @@ def flat_rate_elasticity(model: DemandModel, rate: float) -> float:
     dbar = model.mean_demand(np.full(n, float(rate)))
     weights = dbar / dbar.sum()
     return float(weights @ eps.values.sum(axis=1))
-
-
-def replace_tariff(tariff: Tariff, **changes) -> Tariff:
-    """Functional update helper; tariffs are immutable."""
-    return dataclasses.replace(tariff, **changes)

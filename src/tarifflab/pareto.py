@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +18,75 @@ from .model import (
 )
 from .solvers import (
     DEFAULT_CONFIG,
+    RamseySolution,
     SolverConfig,
+    adjusted_flat_delta,
     monopoly_price,
     phi_bar,
     solve_adjusted_flat,
-    solve_fixed_A_two_part,
+    solve_fixed_A_ramsey,
     solve_flat_linear,
     solve_linear,
     solve_two_part,
 )
+
+
+@dataclass(frozen=True)
+class Family:
+    """One tariff family: its name, CLI aliases, plot colour and solver.
+
+    `solve(model, F, config, fixed_charge, base_rate)` returns the tariff and
+    the diagnostics `solve` prints. `fixed_charge` is the frozen connection
+    charge of the fixed-charge families; `base_rate` is adjusted-flat's rate
+    before adjustment.
+    """
+
+    name: str
+    aliases: tuple[str, ...]
+    color: str
+    solve: Callable[..., tuple[Tariff, dict[str, float]]]
+
+
+def _ramsey_diagnostics(solution: RamseySolution) -> dict[str, float]:
+    return {"rho": solution.rho, "gamma": solution.gamma,
+            "achieved_rs": solution.achieved_rs}
+
+
+def _two_part(model, F, config, fixed_charge, base_rate):
+    return solve_two_part(model, F, config), {}
+
+
+def _linear(model, F, config, fixed_charge, base_rate):
+    solution = solve_linear(model, F, config)
+    return solution.tariff, _ramsey_diagnostics(solution)
+
+
+def _flat(model, F, config, fixed_charge, base_rate):
+    return solve_flat_linear(model, F, config), {}
+
+
+def _fixed_A(model, F, config, fixed_charge, base_rate):
+    tariff, solution = solve_fixed_A_ramsey(model, F, fixed_charge, config)
+    return tariff, _ramsey_diagnostics(solution)
+
+
+def _adjusted_flat(model, F, config, fixed_charge, base_rate):
+    if base_rate is None:
+        raise ValueError("adjusted-flat sweeps need a flat baseline rate")
+    tariff = solve_adjusted_flat(model, F, base_rate, fixed_charge, config)
+    return tariff, {"delta": adjusted_flat_delta(tariff, base_rate)}
+
+
+FAMILIES = {
+    f.name: f
+    for f in (
+        Family("two-part-optimal", ("two-part",), "#1f77b4", _two_part),
+        Family("linear-optimal", ("linear",), "#d62728", _linear),
+        Family("flat-linear", (), "#9467bd", _flat),
+        Family("fixed-A-two-part", ("fixed-a-two-part",), "#2ca02c", _fixed_A),
+        Family("adjusted-flat", (), "#ff7f0e", _adjusted_flat),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -76,29 +136,6 @@ def default_revenue_grid(
     return np.linspace(lo, hi, steps)
 
 
-def _solve_family(
-    model: LinearDemandModel,
-    family: str,
-    F: float,
-    config: SolverConfig,
-    fixed_charge: float,
-    base_rate: float | None,
-) -> Tariff:
-    if family == "two-part-optimal":
-        return solve_two_part(model, F, config)
-    if family == "linear-optimal":
-        return solve_linear(model, F, config).tariff
-    if family == "flat-linear":
-        return solve_flat_linear(model, F, config)
-    if family == "fixed-A-two-part":
-        return solve_fixed_A_two_part(model, F, fixed_charge, config)
-    if family == "adjusted-flat":
-        if base_rate is None:
-            raise ValueError("adjusted-flat sweeps need a flat baseline rate")
-        return solve_adjusted_flat(model, F, base_rate, fixed_charge, config)
-    raise ValueError(f"unknown family {family!r}; expected one of {TARIFF_FAMILIES}")
-
-
 def sweep(
     model: LinearDemandModel,
     baseline: Tariff,
@@ -108,7 +145,6 @@ def sweep(
     *,
     fixed_charge: float | None = None,
     base_rate: float | None = None,
-    max_workers: int | None = None,
 ) -> list[ParetoFront]:
     """Solve each family across the revenue-target grid.
 
@@ -116,16 +152,15 @@ def sweep(
     the frontier F = phi_bar(pi_M) stays visible. `fixed_charge` (for the
     fixed-charge families) defaults to the baseline's connection charge;
     `base_rate` (for adjusted-flat) defaults to the baseline's rate when the
-    baseline is flat. Grid points are independent; `max_workers` > 1 fans
-    them out across threads, and assembly order is deterministic either way.
+    baseline is flat.
     """
     requested = set(families)
-    unknown = requested - set(TARIFF_FAMILIES)
+    unknown = requested - set(FAMILIES)
     if unknown:
         raise ValueError(
             f"unknown families {sorted(unknown)}; expected among {TARIFF_FAMILIES}"
         )
-    families = [f for f in TARIFF_FAMILIES if f in requested]
+    families = [f for f in FAMILIES if f in requested]
     if fixed_charge is None:
         fixed_charge = baseline.connection_charge
     if base_rate is None and baseline.is_flat:
@@ -134,9 +169,9 @@ def sweep(
     order = sorted(range(len(targets)), key=lambda i: targets[i])
     baseline_rs = retailer_surplus(model, baseline)
 
-    def solve_point(family: str, F: float) -> ParetoPoint:
+    def solve_point(family: Family, F: float) -> ParetoPoint:
         try:
-            tariff = _solve_family(model, family, F, config, fixed_charge, base_rate)
+            tariff, _ = family.solve(model, F, config, fixed_charge, base_rate)
         except (InfeasibleTarget, InvalidRegime):
             return ParetoPoint(
                 F=F, delta_cs=math.nan, delta_rs=math.nan, delta_sw=math.nan,
@@ -152,23 +187,15 @@ def sweep(
             feasible=True,
         )
 
-    jobs = [(family, targets[i]) for family in families for i in order]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda job: solve_point(*job), jobs))
-    else:
-        results = [solve_point(*job) for job in jobs]
-
-    fronts = []
-    per_family = len(order)
-    for i, family in enumerate(families):
-        pts = tuple(results[i * per_family : (i + 1) * per_family])
-        fronts.append(
-            ParetoFront(
-                family=family, points=pts, baseline=baseline, baseline_rs=baseline_rs
-            )
+    return [
+        ParetoFront(
+            family=name,
+            points=tuple(solve_point(FAMILIES[name], targets[i]) for i in order),
+            baseline=baseline,
+            baseline_rs=baseline_rs,
         )
-    return fronts
+        for name in families
+    ]
 
 
 def front_slope_report(front: ParetoFront) -> list[FrontSlope]:

@@ -31,6 +31,7 @@ from .model import (
     LinearDemandModel,
     Tariff,
     _as_price_vector,
+    central_difference,
     phi_bar,
     welfare_gains,
 )
@@ -44,8 +45,9 @@ class SolverConfig:
 
     `rs_tol` is relative: the bisection accepts |rs - F| <= rs_tol * max(1, |F|).
     `damping` starts each fixed point and is halved whenever the residual
-    grows. `s_tol` is the width at which the outer bisection interval on the
-    markup intensity stops shrinking.
+    grows. `s_tol` is the width, relative to max(1, |hi|), at which the
+    bisection interval stops shrinking; if its midpoint then misses the
+    `rs_tol` band, halving goes on until the interval has no interior point.
     """
 
     fp_tol: float = 1e-10
@@ -53,7 +55,6 @@ class SolverConfig:
     damping: float = 1.0
     rs_tol: float = 1e-8
     s_tol: float = 1e-13
-    root_selection: str = "low-markup"
 
     def __post_init__(self):
         if self.fp_tol <= 0 or self.rs_tol <= 0 or self.s_tol <= 0:
@@ -62,8 +63,6 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.root_selection != "low-markup":
-            raise ValueError("only low-markup root selection is implemented")
 
     def rs_tolerance(self, target: float) -> float:
         return self.rs_tol * max(1.0, abs(target))
@@ -124,6 +123,50 @@ def _warn_on_sign(model: DemandModel, pi: np.ndarray, context: str) -> None:
             f"{context}: expected demand is negative in some period",
             PriceSignWarning, stacklevel=3,
         )
+
+
+def _require_finite(target: float) -> None:
+    if not math.isfinite(target):
+        raise ValueError(f"revenue target must be finite, got {target!r}")
+
+
+def _bisect_target(
+    model: DemandModel,
+    price_at,
+    lo: float,
+    hi: float,
+    start: np.ndarray | None,
+    target: float,
+    config: SolverConfig,
+) -> tuple[float, np.ndarray, float]:
+    """Bisect [lo, hi] for the point whose prices collect `target`.
+
+    `price_at(x, start)` maps a bracket point to a price vector whose margin
+    increases in x; `start` is the price at the current lower end, a warm
+    start for iterative inner solves. Returns (x, prices, achieved margin).
+    """
+    tol = config.rs_tolerance(target)
+    pi_lo = start
+    while True:
+        x = 0.5 * (lo + hi)
+        pi = price_at(x, pi_lo)
+        achieved = phi_bar(model, pi)
+        # past the s_tol width, halving goes on only while the margin misses
+        # the revenue band (a steep margin near a small target) and the
+        # interval still has an interior point
+        if hi - lo <= config.s_tol * max(1.0, abs(hi)) and (
+            abs(achieved - target) <= tol or not lo < x < hi
+        ):
+            break
+        if achieved <= target:
+            lo, pi_lo = x, pi
+        else:
+            hi = x
+    if abs(achieved - target) > tol:
+        raise NonConvergence(
+            f"bisection stalled at rs {achieved!r} for target {target!r}"
+        )
+    return x, pi, achieved
 
 
 def _solve_mean_jacobian(jbar: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -206,6 +249,7 @@ def solve_two_part(
     volumetric margin uniformly: A = (F - phi_bar(pi)) / M. Welfare does not
     depend on F (only the split between consumers and the retailer does).
     """
+    _require_finite(F)
     if model.customers < 1:
         raise ValueError("a two-part tariff needs at least one customer")
     pi = _two_part_price(model, config, method)
@@ -299,6 +343,7 @@ def solve_linear(
     intensity s = rho/(1+rho) over [0, 1/2] (the low-markup branch, on which
     the collected margin increases monotonically) until the surplus matches F.
     """
+    _require_finite(F)
     pistar = _two_part_price(model, config, method)
     phi_star = phi_bar(model, pistar)
     pim = monopoly_price(model, config, method=method, verify=False)
@@ -312,22 +357,7 @@ def solve_linear(
     def price_at(s: float, start: np.ndarray) -> np.ndarray:
         return _ramsey_price_at(model, s, pistar, config, method, start)
 
-    lo, hi = 0.0, 0.5
-    pi_lo = pistar
-    while hi - lo > config.s_tol:
-        mid = 0.5 * (lo + hi)
-        pi_mid = price_at(mid, pi_lo)
-        if phi_bar(model, pi_mid) <= F:
-            lo, pi_lo = mid, pi_mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    pi = price_at(s, pi_lo)
-    achieved = phi_bar(model, pi)
-    if abs(achieved - F) > tol:
-        raise NonConvergence(
-            f"bisection stalled at rs {achieved!r} for target {F!r}"
-        )
+    s, pi, achieved = _bisect_target(model, price_at, 0.0, 0.5, pistar, F, config)
     rho = s / (1.0 - s)
     gamma = 1.0 / (1.0 - rho) if rho < 1.0 else math.inf
     _warn_on_sign(model, pi, "linear tariff")
@@ -368,10 +398,10 @@ def _flat_monopoly_rate(model: DemandModel, config: SolverConfig) -> float:
 
 def _flat_low_root(model: DemandModel, target: float, config: SolverConfig) -> float:
     """Lowest rate whose flat margin hits `target` (the low-markup root)."""
+    _require_finite(target)
     rate_m = _flat_monopoly_rate(model, config)
     phi_max = _flat_phi(model, rate_m)
-    tol = config.rs_tolerance(target)
-    if target > phi_max + tol:
+    if target > phi_max + config.rs_tolerance(target):
         raise InfeasibleTarget(target, (-math.inf, phi_max))
     # walk left from the peak until the margin falls below the target,
     # then bisect on the increasing branch
@@ -382,19 +412,10 @@ def _flat_low_root(model: DemandModel, target: float, config: SolverConfig) -> f
         lo = rate_m - step
         if step > 1e12:
             raise NonConvergence("flat-rate root bracket did not close")
-    hi = rate_m
-    while hi - lo > config.s_tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if _flat_phi(model, mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    if abs(_flat_phi(model, root) - target) > tol:
-        raise NonConvergence(
-            f"flat-rate bisection stalled away from target {target!r}"
-        )
-    return root
+    return _bisect_target(
+        model, lambda rate, _: np.full(model.periods, rate), lo, rate_m, None,
+        target, config,
+    )[0]
 
 
 def solve_flat_linear(
@@ -415,16 +436,29 @@ def solve_fixed_A_two_part(
     *,
     method: str = "auto",
 ) -> Tariff:
-    """Two-part tariff with a frozen connection charge.
+    """Two-part tariff with a frozen connection charge."""
+    return solve_fixed_A_ramsey(model, F, A_fixed, config, method=method)[0]
+
+
+def solve_fixed_A_ramsey(
+    model: DemandModel,
+    F: float,
+    A_fixed: float,
+    config: SolverConfig = DEFAULT_CONFIG,
+    *,
+    method: str = "auto",
+) -> tuple[Tariff, RamseySolution]:
+    """Fixed-charge two-part tariff and the Ramsey solution of its prices.
 
     The volumetric part must collect F - M * A_fixed on its own, so this is
     the optimal linear tariff at the residual target.
     """
     residual = F - model.customers * A_fixed
     solution = solve_linear(model, residual, config, method=method)
-    return Tariff(
+    tariff = Tariff(
         connection_charge=A_fixed, prices=solution.prices, family="fixed-A-two-part"
     )
+    return tariff, solution
 
 
 def solve_adjusted_flat(
@@ -464,7 +498,6 @@ def check_assumption1(
     negative. An empty sample list passes vacuously.
     """
     lams = model.scenarios.lams
-    n = model.periods
 
     def g(pi: np.ndarray) -> np.ndarray:
         return np.mean(
@@ -478,14 +511,7 @@ def check_assumption1(
     samples = []
     for raw in pi_samples:
         pi = _as_price_vector(model, raw)
-        jac = np.empty((n, n))
-        for t in range(n):
-            h = 1e-5 * max(1.0, abs(pi[t]))
-            up = pi.copy()
-            dn = pi.copy()
-            up[t] += h
-            dn[t] -= h
-            jac[:, t] = (g(up) - g(dn)) / (2.0 * h)
+        jac = central_difference(g, pi)
         sym = 0.5 * (jac + jac.T)
         max_eig = float(np.linalg.eigvalsh(sym)[-1])
         samples.append(Assumption1Sample(pi=pi, max_symmetric_eigenvalue=max_eig))

@@ -10,18 +10,10 @@ from __future__ import annotations
 
 import math
 
-from .pareto import ParetoFront
+from .pareto import FAMILIES, ParetoFront
 
 WIDTH, HEIGHT = 840, 560
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 180, 30, 60
-
-FAMILY_COLORS = {
-    "two-part-optimal": "#1f77b4",
-    "linear-optimal": "#d62728",
-    "flat-linear": "#9467bd",
-    "fixed-A-two-part": "#2ca02c",
-    "adjusted-flat": "#ff7f0e",
-}
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -131,7 +123,8 @@ def render_fronts(fronts: list[ParetoFront], title: str = "Pareto fronts") -> st
 
     legend_y = MARGIN_T + 10
     for front in fronts:
-        color = FAMILY_COLORS.get(front.family, "#555555")
+        family = FAMILIES.get(front.family)
+        color = family.color if family else "#555555"
         markers = _marker_points(front)
         feas_xy = [(x, y) for x, y, ok in markers if ok]
         if len(feas_xy) >= 2:

@@ -7,6 +7,10 @@ import pytest
 
 import tarifflab as tl
 from tarifflab.cli import main
+from tarifflab.pareto import FAMILIES
+
+# every spelling `--family` and `--families` accept
+FAMILY_SPELLINGS = [a for f in FAMILIES.values() for a in (f.name, *f.aliases)]
 
 
 @pytest.fixture
@@ -166,6 +170,19 @@ class TestSolve:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target_exit_2(self, i2_model_file, capsys, target):
+        # every family's solver is covered in test_solvers; `=` keeps argparse
+        # from reading "-inf" as an option
+        code = main([
+            "solve", "--model", str(i2_model_file), "--family", "linear",
+            f"--target-rs={target}",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "revenue target must be finite" in captured.err
+
     def test_out_csv_machine_precision(self, i2_model_file, tmp_path, capsys):
         out = tmp_path / "solution.csv"
         code = main([
@@ -180,20 +197,23 @@ class TestSolve:
         assert float(fields[6]) == pytest.approx(2.75, abs=1e-8)
         assert (tmp_path / "solution.csv.manifest.json").exists()
 
-    def test_solve_matches_pareto_to_printed_digit(self, i2_model_file, capsys):
+    @pytest.mark.parametrize("family", FAMILY_SPELLINGS)
+    def test_solve_matches_pareto_to_printed_digit(self, i2_model_file, capsys, family):
         code = main([
-            "solve", "--model", str(i2_model_file), "--family", "linear",
+            "solve", "--model", str(i2_model_file), "--family", family,
             "--target-rs", "24",
         ])
         assert code == 0
         solve_out = capsys.readouterr().out
         code = main([
-            "pareto", "--model", str(i2_model_file), "--families", "linear",
+            "pareto", "--model", str(i2_model_file), "--families", family,
             "--f-min", "24", "--f-max", "24", "--steps", "1",
         ])
         assert code == 0
         csv_out = capsys.readouterr().out.splitlines()
         row = csv_out[1].split(",")
+        assert row[5] == "true"
+        assert f"family: {row[0]}" in solve_out
         for label, value in (
             ("delta_cs", row[2]), ("delta_rs", row[3]), ("delta_sw", row[4])
         ):
@@ -276,18 +296,15 @@ class TestPareto:
         assert "consumer surplus gain" in text
         assert "retailer surplus gain" in text
 
-    def test_threads_env(self, i2_model_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TARIFFLAB_THREADS", "2")
-        out = tmp_path / "f.csv"
-        assert main([
-            "pareto", "--model", str(i2_model_file), "--families", "all",
-            "--steps", "5", "--out", str(out),
-        ]) == 0
-        monkeypatch.setenv("TARIFFLAB_THREADS", "zero")
-        assert main([
-            "pareto", "--model", str(i2_model_file), "--families", "all",
-            "--steps", "5", "--out", str(out),
-        ]) == 2
+    def test_non_finite_grid_reports_target(self, i2_model_file, capsys):
+        code = main([
+            "pareto", "--model", str(i2_model_file), "--f-min", "nan",
+            "--f-max", "24", "--steps", "3",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "revenue target must be finite" in err
+        assert "connection charge" not in err
 
 
 class TestCheck:
@@ -300,6 +317,17 @@ class TestCheck:
         assert "PASS oracle-linear" in out
         assert "PASS planner-bound" in out
         assert "all checks passed" in out
+
+    def test_oversized_scenario_count_is_input_error(self, i2_model_file, capsys):
+        text = i2_model_file.read_text().replace(
+            "scenario_count = 1", "scenario_count = 10000000000000"
+        )
+        i2_model_file.write_text(text)
+        code = main(["check", "--model", str(i2_model_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scenario.1.lambda" in err
+        assert "Traceback" not in err
 
     def test_corrupted_g_fails_named_check(self, i2_model_file, capsys):
         text = i2_model_file.read_text().replace(

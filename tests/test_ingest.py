@@ -299,6 +299,21 @@ class TestModelFile:
         with pytest.raises(tl.ModelFileError):
             tl.read_model_file(path)
 
+    def test_scenario_count_beyond_file(self, tmp_path, i2_model):
+        # the count is not trusted for allocation: parsing stops at the first
+        # scenario key the file lacks and points at the count's line
+        path = tmp_path / "model.tlm"
+        tl.write_model_file(path, i2_model)
+        lines = path.read_text().splitlines()
+        count_line = next(
+            i for i, l in enumerate(lines, start=1) if l.startswith("scenario_count")
+        )
+        lines[count_line - 1] = "scenario_count = 10000000000000"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(tl.ModelFileError, match="'scenario.1.lambda' is missing") as info:
+            tl.read_model_file(path)
+        assert info.value.line == count_line
+
     def test_tampered_sigma_detected(self, tmp_path, i2cov_model):
         path = tmp_path / "model.tlm"
         tl.write_model_file(path, i2cov_model)

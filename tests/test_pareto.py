@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import tarifflab as tl
+from tarifflab.pareto import FAMILIES
+from tarifflab.synthetic import write_synthetic_csvs
 
 
 class TestSweep:
@@ -67,19 +69,31 @@ class TestSweep:
                 assert again.delta_rs == p.delta_rs
                 assert again.delta_sw == p.delta_sw
 
-    def test_threaded_sweep_matches_serial(self, i2_model, i2_baseline):
-        grid = np.linspace(0.0, 30.0, 9)
-        serial = tl.sweep(i2_model, i2_baseline, set(tl.TARIFF_FAMILIES), grid,
-                          fixed_charge=1.0, base_rate=1.5)
-        threaded = tl.sweep(i2_model, i2_baseline, set(tl.TARIFF_FAMILIES), grid,
-                            fixed_charge=1.0, base_rate=1.5, max_workers=4)
-        for a, b in zip(serial, threaded):
-            assert a.family == b.family
-            for pa, pb in zip(a.points, b.points):
-                assert pa.feasible == pb.feasible
-                if pa.feasible:
-                    assert pa.delta_cs == pb.delta_cs
-                    np.testing.assert_array_equal(pa.tariff.prices, pb.tariff.prices)
+    def test_family_table_matches_tariff_families(self):
+        assert tuple(FAMILIES) == tl.TARIFF_FAMILIES
+        assert all(name == f.name for name, f in FAMILIES.items())
+
+    def test_sweep_at_stalling_seed(self, tmp_path):
+        # on this seed one adjusted-flat target leaves the rate a residual of
+        # -59 $/cycle, whose revenue band is only 5.9e-7 $/cycle wide; the
+        # rate bisection used to stop at its s_tol width outside that band
+        # and abort the whole sweep
+        load_path, prices_path = write_synthetic_csvs(tmp_path, 92, 24, 58)
+        scenarios = tl.estimate_moments(
+            tl.parse_csv(load_path, "load"), tl.parse_csv(prices_path, "price")
+        )
+        config = tl.CalibrationConfig()
+        model = tl.calibrate_demand(scenarios, config)
+        baseline = tl.baseline_tariff(model, config)
+        fronts = tl.sweep(
+            model, baseline, tl.TARIFF_FAMILIES, tl.default_revenue_grid(model)
+        )
+        (adjusted,) = [f for f in fronts if f.family == "adjusted-flat"]
+        assert len(adjusted.feasible_points) > 1
+        for front in fronts:
+            for p in front.feasible_points:
+                tol = 1e-8 * max(1.0, abs(p.F))
+                assert abs(p.delta_rs - (p.F - front.baseline_rs)) <= tol
 
     def test_adjusted_flat_needs_flat_baseline(self, i2_model, i2_baseline):
         with pytest.raises(ValueError, match="flat baseline"):

@@ -87,6 +87,22 @@ class TestSolveLinear:
         assert sol.gamma == pytest.approx(1.5, abs=1e-7)
         assert sol.achieved_rs == pytest.approx(24.0, abs=24 * 1e-8)
 
+    def test_break_even_on_bundled_model(self):
+        # F = 0 sits so close to the regime floor that the markup bisection
+        # reaches its s_tol width outside the revenue band and must keep
+        # halving to land in it
+        from tarifflab.synthetic import bundled_dataset_paths
+
+        load_path, prices_path = bundled_dataset_paths()
+        scenarios = tl.estimate_moments(
+            tl.parse_csv(load_path, "load"), tl.parse_csv(prices_path, "price")
+        )
+        model = tl.calibrate_demand(scenarios, tl.CalibrationConfig())
+        sol = tl.solve_linear(model, 0.0)
+        assert abs(sol.achieved_rs) <= tl.SolverConfig().rs_tol
+        assert sol.achieved_rs == tl.phi_bar(model, sol.prices)
+        assert 0.0 < sol.rho < 1e-2
+
     def test_infeasible_above_monopoly_margin(self, i2_model):
         with pytest.raises(tl.InfeasibleTarget) as exc_info:
             tl.solve_linear(i2_model, 33.0)
@@ -348,5 +364,17 @@ class TestSolverInvariants:
             tl.SolverConfig(damping=0.0)
         with pytest.raises(ValueError):
             tl.SolverConfig(fp_tol=-1.0)
-        with pytest.raises(ValueError):
+        # only the low-markup root is implemented; there is no knob to ask
+        # for the high-markup one
+        with pytest.raises(TypeError):
             tl.SolverConfig(root_selection="high-markup")
+
+    @pytest.mark.parametrize("F", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_target_rejected(self, i2_model, F):
+        for solve in (tl.solve_two_part, tl.solve_linear, tl.solve_flat_linear):
+            with pytest.raises(ValueError, match="revenue target must be finite"):
+                solve(i2_model, F)
+        with pytest.raises(ValueError, match="revenue target must be finite"):
+            tl.solve_fixed_A_two_part(i2_model, F, 1.0)
+        with pytest.raises(ValueError, match="revenue target must be finite"):
+            tl.solve_adjusted_flat(i2_model, F, 1.5, 1.0)
