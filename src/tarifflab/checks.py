@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFeasibleSet, IndependenceWarning
+from .errors import IndependenceWarning
 from .ingest import ModelFilePayload
 from .model import (
     DemandModel,
@@ -28,7 +28,12 @@ from .model import (
     phi_bar,
     welfare_gains,
 )
-from .oracle import GridSpec, RsConstraint, grid_argmax_welfare, settle_scenarios
+from .oracle import (
+    GridSpec,
+    grid_argmax_welfare,
+    grid_argmax_welfare_bands,
+    settle_scenarios,
+)
 from .solvers import (
     DEFAULT_CONFIG,
     SolverConfig,
@@ -214,18 +219,17 @@ def check_oracle_linear(
     target = 0.5 * (lo + hi)
     solution = solve_linear(model, target, config)
     cell = rs_cell_scale(model, solution.prices, grid.max_step)
+    bands = [mult * cell for mult in BAND_LADDER]
     best_gap = math.inf
     best_band = math.nan
-    for mult in BAND_LADDER:
-        try:
-            best_pi, _ = grid_argmax_welfare(
-                model, baseline, RsConstraint(target, mult * cell), grid
-            )
-        except EmptyFeasibleSet:
+    for band, best in zip(
+        bands, grid_argmax_welfare_bands(model, baseline, target, bands, grid)
+    ):
+        if best is None:
             continue
-        gap = float(np.abs(solution.prices - best_pi).max())
+        gap = float(np.abs(solution.prices - best[0]).max())
         if gap < best_gap:
-            best_gap, best_band = gap, mult * cell
+            best_gap, best_band = gap, band
     if not math.isfinite(best_gap):
         return CheckResult("oracle-linear", "FAIL", "no feasible grid point")
     status = "PASS" if best_gap <= grid.max_step * (1 + 1e-9) else "FAIL"

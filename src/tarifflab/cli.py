@@ -45,6 +45,9 @@ from .pareto import FAMILIES, ParetoFront, ParetoPoint, default_revenue_grid, sw
 from .solvers import DEFAULT_CONFIG
 from .svg import render_fronts
 
+# options whose value may be a negative number such as -2.5e4 or -inf
+_NUMERIC_OPTIONS = ("--target-rs", "--f-min", "--f-max")
+
 # every accepted spelling of a family, its own name included
 _ALIASES = {a: f.name for f in FAMILIES.values() for a in (f.name, *f.aliases)}
 
@@ -167,13 +170,12 @@ def cmd_fit(args) -> int:
     write_model_file(args.out, model, baseline=config, provenance=provenance)
 
     eigs = np.linalg.eigvalsh(model.G)
-    tr_sigma = float(np.trace(model.scenarios.sigma_lambda_omega))
     revenue = revenue_baseline(model, config)
     print(f"model written to {args.out}")
     print(f"periods: {model.periods}  scenarios: {model.scenarios.n_scenarios}")
     print(f"realized elasticity at flat rate: {flat_rate_elasticity(model, config.flat_rate)!r}")
     print(f"G eigenvalue range: [{float(eigs[0])!r}, {float(eigs[-1])!r}]")
-    print(f"tr cov(lambda, Omega): {tr_sigma!r}")
+    print(f"tr cov(lambda, Omega): {model.scenarios.trace_sigma!r}")
     print(f"baseline revenue: gross {_money(revenue.gross)} $/cycle, "
           f"net {_money(revenue.net)} $/cycle")
     return 0
@@ -242,6 +244,11 @@ def cmd_pareto(args) -> int:
     if args.f_min is not None or args.f_max is not None:
         if args.f_min is None or args.f_max is None:
             raise ValueError("--f-min and --f-max must be given together")
+        if steps == 1 and args.f_min != args.f_max:
+            raise ValueError(
+                f"--steps 1 needs --f-min equal to --f-max, got --f-min "
+                f"{args.f_min!r} and --f-max {args.f_max!r}"
+            )
         grid = np.linspace(args.f_min, args.f_max, steps)
     else:
         grid = default_revenue_grid(model, steps)
@@ -335,9 +342,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_numeric_values(argv: list[str]) -> list[str]:
+    """Spell `--target-rs -2.5e4` as `--target-rs=-2.5e4`.
+
+    argparse takes a value after an option for another option when it starts
+    with '-' and is not a plain decimal, which rejects -2.5e4 and -inf.
+    Abbreviated options (`--target`) are attached the same way.
+    """
+    out: list[str] = []
+    for token in argv:
+        if (
+            out
+            and len(out[-1]) > 2
+            and any(opt.startswith(out[-1]) for opt in _NUMERIC_OPTIONS)
+            and token.startswith("-")
+        ):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_numeric_values(argv))
     if not hasattr(args, "func"):
         parser.print_help()
         return 2

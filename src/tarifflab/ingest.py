@@ -34,6 +34,7 @@ from .model import (
     Tariff,
     flat_rate_elasticity,
     phi_bar,
+    scenario_moments,
 )
 
 SERIES_KINDS = ("load", "price")
@@ -427,9 +428,10 @@ def read_model_file(path) -> ModelFilePayload:
 
     # stored moments are derived; verify them against the scenarios so silent
     # file edits are caught at load time
+    lambda_bar, omega_bar, sigma = scenario_moments(lams, omegas)
     for key, expect_vals, expect_n in (
-        ("lambda_bar", lams.mean(axis=0), periods),
-        ("omega_bar", omegas.mean(axis=0), periods),
+        ("lambda_bar", lambda_bar, periods),
+        ("omega_bar", omega_bar, periods),
     ):
         line_no, text = need(key)
         stored = _parse_floats(path, line_no, text, expect_n, key)
@@ -440,9 +442,6 @@ def read_model_file(path) -> ModelFilePayload:
     stored_sigma = _parse_floats(
         path, line_no, text, periods * periods, "sigma_lambda_omega"
     ).reshape(periods, periods)
-    dl = lams - lams.mean(axis=0)
-    do = omegas - omegas.mean(axis=0)
-    sigma = dl.T @ do / count
     scale = max(1.0, float(np.abs(sigma).max()))
     if float(np.abs(stored_sigma - sigma).max()) > 1e-9 * scale:
         raise ModelFileError(path, line_no, "sigma_lambda_omega disagrees with scenarios")

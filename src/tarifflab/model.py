@@ -12,6 +12,7 @@ tariff, where the unknown benefit offset cancels exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,18 @@ def central_difference(f, pi, h_scale: float = 1e-5) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
+def scenario_moments(lams, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Population moments of equiprobable (J, N) scenarios.
+
+    Returns (lambda_bar, omega_bar, sigma) with sigma[k, t] =
+    cov(lambda_k, Omega_t) under the 1/J normalization.
+    """
+    lambda_bar = lams.mean(axis=0)
+    omega_bar = omegas.mean(axis=0)
+    sigma = (lams - lambda_bar).T @ (omegas - omega_bar) / lams.shape[0]
+    return lambda_bar, omega_bar, sigma
+
+
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -67,7 +80,8 @@ class ScenarioSet:
     moments of the stored scenarios (1/J normalization): the set *is* the
     distribution, so expectations over it are plain averages. The unbiased
     1/(J-1) estimate used when the scenarios are a sample from something
-    larger is available via `sample_cross_covariance`.
+    larger is available via `sample_cross_covariance`. They are computed
+    once, on first use, and returned read-only.
     """
 
     lams: np.ndarray
@@ -100,20 +114,27 @@ class ScenarioSet:
     def periods(self) -> int:
         return self.lams.shape[1]
 
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(_readonly(m) for m in scenario_moments(self.lams, self.omegas))
+
     @property
     def lambda_bar(self) -> np.ndarray:
-        return self.lams.mean(axis=0)
+        return self._moments[0]
 
     @property
     def omega_bar(self) -> np.ndarray:
-        return self.omegas.mean(axis=0)
+        return self._moments[1]
 
     @property
     def sigma_lambda_omega(self) -> np.ndarray:
         """Population cross-covariance cov(lambda_k, Omega_t), 1/J normalized."""
-        dl = self.lams - self.lambda_bar
-        do = self.omegas - self.omega_bar
-        return dl.T @ do / self.n_scenarios
+        return self._moments[2]
+
+    @cached_property
+    def trace_sigma(self) -> float:
+        """tr cov(lambda, Omega), the price-volume risk term."""
+        return float(np.trace(self.sigma_lambda_omega))
 
     def sample_cross_covariance(self, ddof: int = 1) -> np.ndarray:
         if self.n_scenarios <= ddof:
@@ -151,6 +172,17 @@ class DemandModel:
     def mean_jacobian(self, pi: np.ndarray) -> np.ndarray:
         return np.mean(
             [self.demand_jacobian(pi, j) for j in range(self.scenarios.n_scenarios)],
+            axis=0,
+        )
+
+    def mean_jacobian_margin(self, pi: np.ndarray) -> np.ndarray:
+        """The Assumption-1 field g(pi) = E[dD(pi) (pi - lam)]."""
+        lams = self.scenarios.lams
+        return np.mean(
+            [
+                self.demand_jacobian(pi, j) @ (pi - lams[j])
+                for j in range(self.scenarios.n_scenarios)
+            ],
             axis=0,
         )
 
@@ -208,17 +240,24 @@ class LinearDemandModel(DemandModel):
     def mean_jacobian(self, pi: np.ndarray) -> np.ndarray:
         return -self.G
 
+    def mean_jacobian_margin(self, pi: np.ndarray) -> np.ndarray:
+        return -self.G @ (pi - self.scenarios.lambda_bar)
+
     def expected_margin(self, pi: np.ndarray) -> float:
         pi = np.asarray(pi, dtype=float)
         ss = self.scenarios
         margin = float((pi - ss.lambda_bar) @ (ss.omega_bar - self.G @ pi))
         # For linear demand cov(lambda, D) = cov(lambda, Omega): the -G pi
         # shift is deterministic.
-        return margin - float(np.trace(ss.sigma_lambda_omega))
+        return margin - ss.trace_sigma
 
     def satiation_price(self) -> np.ndarray:
-        """Price at which expected demand vanishes: G^-1 omega_bar."""
-        return np.linalg.solve(self.G, self.scenarios.omega_bar)
+        """Price at which expected demand vanishes: G^-1 omega_bar (read-only)."""
+        return self._satiation_price
+
+    @cached_property
+    def _satiation_price(self) -> np.ndarray:
+        return _readonly(np.linalg.solve(self.G, self.scenarios.omega_bar))
 
 
 @dataclass(frozen=True)

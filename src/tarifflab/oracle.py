@@ -132,6 +132,39 @@ def grid_argmax_welfare(
     space of the flat tariff families). Returns (pi, delta_sw); exact ties go
     to the lexicographically smallest pi.
     """
+    if constraint is None:
+        target, bands = 0.0, (None,)
+    else:
+        target, bands = constraint.target, (constraint.band,)
+    (best,) = grid_argmax_welfare_bands(
+        model, baseline, target, bands, grid,
+        connection_charge=connection_charge, flat=flat,
+    )
+    if best is None:
+        raise EmptyFeasibleSet(
+            f"no grid point within {constraint.band!r} of rs target "
+            f"{constraint.target!r}"
+        )
+    return best
+
+
+def grid_argmax_welfare_bands(
+    model: LinearDemandModel,
+    baseline: Tariff,
+    target: float,
+    bands,
+    grid: GridSpec,
+    *,
+    connection_charge: float = 0.0,
+    flat: bool = False,
+) -> list[tuple[np.ndarray, float] | None]:
+    """`grid_argmax_welfare` for several revenue bands in one grid pass.
+
+    Each grid block's welfare and margin are evaluated once; each band then
+    takes its own masked argmax with the same tie rule. A band of None is
+    unconstrained. Returns one (pi, delta_sw) per band, or None where no grid
+    point lies within the band.
+    """
     if len(grid.axes) != model.periods:
         raise ValueError(
             f"grid has {len(grid.axes)} axes, model has {model.periods} periods"
@@ -140,14 +173,14 @@ def grid_argmax_welfare(
     G = model.G
     lam = model.scenarios.lambda_bar
     om = model.scenarios.omega_bar
-    tr_sigma = float(np.trace(model.scenarios.sigma_lambda_omega))
+    tr_sigma = model.scenarios.trace_sigma
 
     pib = baseline.prices
     cs_base = 0.5 * float(pib @ G @ pib) - float(pib @ om)
     rs_base = float((pib - lam) @ (om - G @ pib)) - tr_sigma
 
-    best_pi: np.ndarray | None = None
-    best_val = -np.inf
+    best_pi: list[np.ndarray | None] = [None] * len(bands)
+    best_val = [-np.inf] * len(bands)
     for pts in _point_blocks(grid, flat):
         gp = pts @ G  # G symmetric: row i is G @ pts[i]
         quad = 0.5 * np.einsum("ij,ij->i", pts, gp)
@@ -157,24 +190,20 @@ def grid_argmax_welfare(
         # both sides; rs keeps the searched family's own charge for the
         # constraint
         delta_sw = (cs - cs_base) + (rs - rs_base)
+        gap = np.abs(rs + model.customers * connection_charge - target)
 
-        if constraint is not None:
-            rs_total = rs + model.customers * connection_charge
-            feasible = np.abs(rs_total - constraint.target) <= constraint.band
-            if not feasible.any():
-                continue
-            delta_sw = np.where(feasible, delta_sw, -np.inf)
-
-        i = int(np.argmax(delta_sw))
-        # strict > keeps the first (lexicographically smallest) tie-holder
-        if delta_sw[i] > best_val:
-            best_val = float(delta_sw[i])
-            best_pi = pts[i].copy()
-
-    if best_pi is None:
-        assert constraint is not None
-        raise EmptyFeasibleSet(
-            f"no grid point within {constraint.band!r} of rs target "
-            f"{constraint.target!r}"
-        )
-    return best_pi, best_val
+        for k, band in enumerate(bands):
+            values = delta_sw
+            if band is not None:
+                feasible = gap <= band
+                if not feasible.any():
+                    continue
+                values = np.where(feasible, delta_sw, -np.inf)
+            i = int(np.argmax(values))
+            # strict > keeps the first (lexicographically smallest) tie-holder
+            if values[i] > best_val[k]:
+                best_val[k] = float(values[i])
+                best_pi[k] = pts[i].copy()
+    return [
+        None if pi is None else (pi, val) for pi, val in zip(best_pi, best_val)
+    ]

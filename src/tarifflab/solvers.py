@@ -492,26 +492,15 @@ def check_assumption1(
 ) -> Assumption1Report:
     """Numerically screen the curvature condition behind the solvers.
 
-    Estimates the Jacobian of g(pi) = E[dD(pi) (pi - lam)] by central
-    differences at each sample and reports the largest eigenvalue of its
-    symmetric part; the condition holds at a sample iff that eigenvalue is
-    negative. An empty sample list passes vacuously.
+    Estimates the Jacobian of g(pi) = E[dD(pi) (pi - lam)], the model's
+    `mean_jacobian_margin`, by central differences at each sample and
+    reports the largest eigenvalue of its symmetric part; the condition
+    holds at a sample iff that eigenvalue is negative. An empty sample list passes vacuously.
     """
-    lams = model.scenarios.lams
-
-    def g(pi: np.ndarray) -> np.ndarray:
-        return np.mean(
-            [
-                model.demand_jacobian(pi, j) @ (pi - lams[j])
-                for j in range(model.scenarios.n_scenarios)
-            ],
-            axis=0,
-        )
-
     samples = []
     for raw in pi_samples:
         pi = _as_price_vector(model, raw)
-        jac = central_difference(g, pi)
+        jac = central_difference(model.mean_jacobian_margin, pi)
         sym = 0.5 * (jac + jac.T)
         max_eig = float(np.linalg.eigvalsh(sym)[-1])
         samples.append(Assumption1Sample(pi=pi, max_symmetric_eigenvalue=max_eig))

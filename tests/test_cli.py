@@ -221,6 +221,28 @@ class TestSolve:
             assert f"{label}: {printed} $/cycle" in solve_out
 
 
+    @pytest.mark.parametrize("target", ["-2.5e4", "-2.5E+4", "-25000"])
+    def test_negative_target_spellings(self, i2_model_file, capsys, target):
+        # argparse reads a token starting with '-' as an option unless it is
+        # a plain decimal; every spelling must match the `=` spelling
+        args = ["solve", "--model", str(i2_model_file), "--family", "two-part"]
+        assert main(args + [f"--target-rs={target}"]) == 0
+        joined = capsys.readouterr().out
+        assert main(args + ["--target-rs", target]) == 0
+        assert capsys.readouterr().out == joined
+        assert main(args + ["--target", target]) == 0  # argparse abbreviation
+        assert capsys.readouterr().out == joined
+        assert "target rs (F): -2.5e+04 $/cycle" in joined
+
+    def test_negative_infinite_target_reaches_finite_check(self, i2_model_file, capsys):
+        code = main([
+            "solve", "--model", str(i2_model_file), "--family", "linear",
+            "--target-rs", "-inf",
+        ])
+        assert code == 2
+        assert "revenue target must be finite" in capsys.readouterr().err
+
+
 class TestPareto:
     def test_golden_two_part_rows(self, i2_model_file, capsys):
         code = main([
@@ -305,6 +327,52 @@ class TestPareto:
         err = capsys.readouterr().err
         assert "revenue target must be finite" in err
         assert "connection charge" not in err
+
+
+    @pytest.mark.parametrize(
+        "bounds", [["--f-min", "-1e3", "--f-max", "-1e2"],
+                   ["--f-min", "-1E3", "--f-max", "-100.0"]],
+    )
+    def test_negative_exponent_bounds(self, i2_model_file, capsys, bounds):
+        args = ["pareto", "--model", str(i2_model_file), "--families", "two-part",
+                "--steps", "3"]
+        joined = [f"{bounds[0]}={bounds[1]}", f"{bounds[2]}={bounds[3]}"]
+        assert main(args + joined) == 0
+        expected = capsys.readouterr().out
+        assert main(args + bounds) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == expected.splitlines()
+        assert [row.split(",")[1] for row in lines[1:]] == ["-1000.0", "-550.0", "-100.0"]
+
+    def test_single_step_with_unequal_bounds_is_input_error(
+        self, i2_model_file, tmp_path, capsys
+    ):
+        out = tmp_path / "f.csv"
+        code = main([
+            "pareto", "--model", str(i2_model_file), "--families", "linear",
+            "--f-min", "0", "--f-max", "1000", "--steps", "1", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--f-min" in err and "--f-max" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bounds", [["--f-min", "24", "--f-max", "24"], []])
+    def test_single_step_with_equal_or_no_bounds(
+        self, i2_model_file, tmp_path, capsys, bounds
+    ):
+        out = tmp_path / "f.csv"
+        code = main([
+            "pareto", "--model", str(i2_model_file), "--families", "linear",
+            "--steps", "1", "--out", str(out), *bounds,
+        ])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
+        assert manifest["flags"]["f_min"] == manifest["flags"]["f_max"]
+        if bounds:
+            assert lines[1].split(",")[1] == "24.0"
 
 
 class TestCheck:

@@ -23,6 +23,29 @@ class TestScenarioSet:
         unbiased = i2cov_model.scenarios.sample_cross_covariance(ddof=1)
         np.testing.assert_allclose(unbiased, np.full((2, 2), 1.0), atol=1e-15)
 
+    def test_moments_computed_once_and_read_only(self, i2cov_model):
+        ss = i2cov_model.scenarios
+        for name in ("lambda_bar", "omega_bar", "sigma_lambda_omega"):
+            value = getattr(ss, name)
+            assert getattr(ss, name) is value
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+        assert ss.trace_sigma == pytest.approx(1.0, abs=1e-15)
+        pio = i2cov_model.satiation_price()
+        assert i2cov_model.satiation_price() is pio
+        with pytest.raises(ValueError, match="read-only"):
+            pio[0] = 0.0
+
+    def test_linear_phi_bar_reads_only_the_moments(self, i2cov_model):
+        pi = np.array([2.0, 3.0])
+        before = tl.phi_bar(i2cov_model, pi)
+        # scenarios changed behind the cache's back: the closed form must not
+        # go back to them
+        ss = i2cov_model.scenarios
+        object.__setattr__(ss, "lams", np.full_like(ss.lams, 50.0))
+        object.__setattr__(ss, "omegas", np.full_like(ss.omegas, -50.0))
+        assert tl.phi_bar(i2cov_model, pi) == before
+
     def test_rejects_negative_prices(self):
         with pytest.raises(ValueError, match="nonnegative"):
             tl.ScenarioSet(lams=[[-0.1, 1.0]], omegas=[[1.0, 1.0]])

@@ -86,6 +86,35 @@ class TestGridArgmaxWelfare:
         assert val == pytest.approx(report.delta_sw, rel=1e-12, abs=1e-12)
 
 
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_bands_match_single_band_calls(self, dims):
+        from conftest import random_linear_model
+        from tarifflab.oracle import grid_argmax_welfare_bands
+
+        model = random_linear_model(7, periods=dims)
+        base = tl.Tariff(connection_charge=0.0,
+                         prices=1.2 * model.scenarios.lambda_bar,
+                         family="two-part-optimal")
+        pim = tl.monopoly_price(model)
+        grid = tl.GridSpec.cube(0.0, 1.25 * float(pim.max()), 25, dims=dims)
+        target = 0.5 * (tl.phi_bar(model, model.scenarios.lambda_bar)
+                        + tl.phi_bar(model, pim))
+        # a band too narrow to hold a point, a ladder, and no band at all
+        bands = [1e-12, 0.01 * target, 0.05 * target, 0.2 * target, None]
+        results = grid_argmax_welfare_bands(model, base, target, bands, grid)
+        assert len(results) == len(bands)
+        assert results[0] is None
+        for band, got in zip(bands, results):
+            constraint = None if band is None else tl.RsConstraint(target, band)
+            try:
+                want = tl.grid_argmax_welfare(model, base, constraint, grid)
+            except tl.EmptyFeasibleSet:
+                assert got is None
+                continue
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1]
+
+
 class TestSettleScenarios:
     def test_zero_spread_margin_is_fixed_revenue(self):
         ss = tl.ScenarioSet(lams=[[1.0, 2.0]], omegas=[[10.0, 8.0]])

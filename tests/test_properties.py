@@ -202,3 +202,35 @@ def test_scenario_moments_match_means(seed):
     np.testing.assert_allclose(
         ss.sigma_lambda_omega, dl.T @ do / j, rtol=1e-12, atol=1e-12
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+def test_cached_moments_bit_equal_uncached(seed):
+    model = make_model(seed)
+    ss = model.scenarios
+    lams, omegas = ss.lams, ss.omegas
+    dl = lams - lams.mean(axis=0)
+    do = omegas - omegas.mean(axis=0)
+    sigma = dl.T @ do / ss.n_scenarios
+    for _ in range(2):  # first access fills the cache, the second reads it
+        np.testing.assert_array_equal(ss.lambda_bar, lams.mean(axis=0))
+        np.testing.assert_array_equal(ss.omega_bar, omegas.mean(axis=0))
+        np.testing.assert_array_equal(ss.sigma_lambda_omega, sigma)
+        assert ss.trace_sigma == float(np.trace(sigma))
+    np.testing.assert_array_equal(
+        model.satiation_price(), np.linalg.solve(model.G, omegas.mean(axis=0))
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+def test_linear_assumption1_field_matches_scenario_loop(seed):
+    model = make_model(seed)
+    rng = np.random.default_rng(seed + 3)
+    for _ in range(3):
+        pi = random_prices(model, rng)
+        closed = model.mean_jacobian_margin(pi)
+        loop = tl.DemandModel.mean_jacobian_margin(model, pi)
+        scale = max(1.0, float(np.abs(loop).max()))
+        assert float(np.abs(closed - loop).max()) <= 1e-9 * scale

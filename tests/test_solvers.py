@@ -288,6 +288,34 @@ class TestCheckAssumption1:
         assert not report.passed
         assert report.samples[0].max_symmetric_eigenvalue > 0
 
+    def test_generic_model_uses_the_scenario_loop(self, monkeypatch):
+        # StochasticSlopeDemand has no closed-form field: check_assumption1
+        # must reach every scenario's Jacobian, and the Jacobian of
+        # g(pi) = -E[S_j (pi - lam_j)] is -E[S_j]
+        scenarios = tl.ScenarioSet(
+            lams=[[1.0, 2.0], [2.0, 1.0]], omegas=[[10.0, 8.0], [12.0, 9.0]]
+        )
+        slopes = [np.array([[1.0, 0.2], [0.2, 2.0]]), np.array([[3.0, -0.1], [-0.1, 1.0]])]
+        model = StochasticSlopeDemand(slopes, scenarios)
+        assert (
+            type(model).mean_jacobian_margin is tl.DemandModel.mean_jacobian_margin
+        )
+        calls = []
+        original = StochasticSlopeDemand.demand_jacobian
+
+        def counted(self, pi, scenario):
+            calls.append(scenario)
+            return original(self, pi, scenario)
+
+        monkeypatch.setattr(StochasticSlopeDemand, "demand_jacobian", counted)
+        report = tl.check_assumption1(model, [[1.5, 1.5]])
+        # two central-difference points per period, each over both scenarios
+        assert sorted(set(calls)) == [0, 1] and len(calls) == 2 * 2 * 2
+        expected = float(np.linalg.eigvalsh(-0.5 * (slopes[0] + slopes[1]))[-1])
+        assert report.samples[0].max_symmetric_eigenvalue == pytest.approx(
+            expected, rel=1e-6
+        )
+
     def test_empty_samples_vacuous_pass(self, i2_model):
         report = tl.check_assumption1(i2_model, [])
         assert report.passed
