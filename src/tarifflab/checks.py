@@ -28,12 +28,7 @@ from .model import (
     phi_bar,
     welfare_gains,
 )
-from .oracle import (
-    GridSpec,
-    grid_argmax_welfare,
-    grid_argmax_welfare_bands,
-    settle_scenarios,
-)
+from .oracle import GridSpec, grid_argmax_welfare_bands, settle_scenarios
 from .solvers import (
     DEFAULT_CONFIG,
     SolverConfig,
@@ -172,7 +167,7 @@ def check_assumption1_result(
     lam = model.scenarios.lambda_bar
     pim = monopoly_price(model, config, verify=False)
     samples = [lam, 0.5 * (lam + pim), pim]
-    report = check_assumption1(model, samples, config)
+    report = check_assumption1(model, samples)
     eigs = ", ".join(f"{s.max_symmetric_eigenvalue:.3e}" for s in report.samples)
     status = "PASS" if report.passed else "FAIL"
     return CheckResult("assumption-1", status, f"max symmetric eigenvalues [{eigs}]")
@@ -191,51 +186,60 @@ def rs_cell_scale(model: DemandModel, pi: np.ndarray, step: float) -> float:
     return max(float(np.abs(grad).max()) * step, 1e-12)
 
 
-def check_oracle_two_part(
-    model: LinearDemandModel, baseline: Tariff, grid: GridSpec
-) -> CheckResult:
-    if model.periods > 3:
-        return CheckResult("oracle-two-part", "SKIP", f"N={model.periods} > 3")
-    pistar = solve_two_part(model, 0.0).prices
-    best_pi, _ = grid_argmax_welfare(model, baseline, None, grid)
-    gap = float(np.abs(pistar - best_pi).max())
-    status = "PASS" if gap <= grid.max_step * (1 + 1e-9) else "FAIL"
-    return CheckResult(
-        "oracle-two-part", status,
-        f"solver/grid gap {gap:.4g} vs one step {grid.max_step:.4g}",
-    )
-
-
-def check_oracle_linear(
+def check_oracles(
     model: LinearDemandModel,
     baseline: Tariff,
-    grid: GridSpec,
     config: SolverConfig = DEFAULT_CONFIG,
-) -> CheckResult:
+) -> tuple[CheckResult, CheckResult]:
+    """Two-part and Ramsey solutions against one exhaustive price-grid pass.
+
+    The 400-step grid spans [0, 1.25 max pi_M] in every period, so it is
+    searched only for N <= 3; above that both checks SKIP. The unconstrained
+    argmax checks the two-part price; the `BAND_LADDER` bands around a
+    mid-range revenue target check the Ramsey price.
+    """
     if model.periods > 3:
-        return CheckResult("oracle-linear", "SKIP", f"N={model.periods} > 3")
+        detail = f"N={model.periods} > 3"
+        return (
+            CheckResult("oracle-two-part", "SKIP", detail),
+            CheckResult("oracle-linear", "SKIP", detail),
+        )
+    pim = monopoly_price(model, config, verify=False)
+    hi = float(max(np.max(pim) * 1.25, 1.0))
+    grid = GridSpec.cube(0.0, hi, steps=400, dims=model.periods)
+    step = grid.max_step
+
+    pistar = solve_two_part(model, 0.0).prices
     lo = phi_bar(model, model.scenarios.lambda_bar)
-    hi = phi_bar(model, monopoly_price(model, config, verify=False))
-    target = 0.5 * (lo + hi)
+    target = 0.5 * (lo + phi_bar(model, pim))
     solution = solve_linear(model, target, config)
-    cell = rs_cell_scale(model, solution.prices, grid.max_step)
+    cell = rs_cell_scale(model, solution.prices, step)
     bands = [mult * cell for mult in BAND_LADDER]
+    free, *banded = grid_argmax_welfare_bands(
+        model, baseline, target, [None, *bands], grid
+    )
+
+    gap = float(np.abs(pistar - free[0]).max())
+    status = "PASS" if gap <= step * (1 + 1e-9) else "FAIL"
+    two_part = CheckResult(
+        "oracle-two-part", status,
+        f"solver/grid gap {gap:.4g} vs one step {step:.4g}",
+    )
+
     best_gap = math.inf
     best_band = math.nan
-    for band, best in zip(
-        bands, grid_argmax_welfare_bands(model, baseline, target, bands, grid)
-    ):
+    for band, best in zip(bands, banded):
         if best is None:
             continue
         gap = float(np.abs(solution.prices - best[0]).max())
         if gap < best_gap:
             best_gap, best_band = gap, band
     if not math.isfinite(best_gap):
-        return CheckResult("oracle-linear", "FAIL", "no feasible grid point")
-    status = "PASS" if best_gap <= grid.max_step * (1 + 1e-9) else "FAIL"
-    return CheckResult(
+        return two_part, CheckResult("oracle-linear", "FAIL", "no feasible grid point")
+    status = "PASS" if best_gap <= step * (1 + 1e-9) else "FAIL"
+    return two_part, CheckResult(
         "oracle-linear", status,
-        f"solver/grid gap {best_gap:.4g} vs one step {grid.max_step:.4g} "
+        f"solver/grid gap {best_gap:.4g} vs one step {step:.4g} "
         f"(band {best_band:.3g})",
     )
 
@@ -301,15 +305,6 @@ def run_model_checks(
     results.append(check_hessian_identity(model))
     results.append(check_phi_settlement(model))
 
-    if model.periods <= 3:
-        pim = monopoly_price(model, config, verify=False)
-        hi = float(max(np.max(pim) * 1.25, 1.0))
-        grid = GridSpec.cube(0.0, hi, steps=400, dims=model.periods)
-        results.append(check_oracle_two_part(model, baseline, grid))
-        results.append(check_oracle_linear(model, baseline, grid, config))
-    else:
-        results.append(CheckResult("oracle-two-part", "SKIP", f"N={model.periods} > 3"))
-        results.append(CheckResult("oracle-linear", "SKIP", f"N={model.periods} > 3"))
-
+    results.extend(check_oracles(model, baseline, config))
     results.append(check_planner_bound(model, baseline))
     return results

@@ -46,7 +46,9 @@ from .solvers import DEFAULT_CONFIG
 from .svg import render_fronts
 
 # options whose value may be a negative number such as -2.5e4 or -inf
-_NUMERIC_OPTIONS = ("--target-rs", "--f-min", "--f-max")
+_NUMERIC_OPTIONS = (
+    "--target-rs", "--f-min", "--f-max", "--elasticity", "--connection-charge",
+)
 
 # every accepted spelling of a family, its own name included
 _ALIASES = {a: f.name for f in FAMILIES.values() for a in (f.name, *f.aliases)}

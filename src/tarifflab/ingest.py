@@ -58,6 +58,10 @@ class CalibrationConfig:
     connection_charge: float = 0.52
 
     def __post_init__(self):
+        for name in ("flat_rate", "elasticity_target", "connection_charge"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.flat_rate > 0:
             raise ValueError("flat rate must be positive")
         # alpha = 0 is the identity-kernel limit (no substitution)
@@ -209,9 +213,11 @@ def calibrate_demand(
         customers=config.customers,
     )
     realized = flat_rate_elasticity(model, config.flat_rate)
-    if abs(realized - config.elasticity_target) > 1e-9:
-        raise AssertionError(
-            f"calibration round-trip failed: realized elasticity {realized!r}"
+    target = config.elasticity_target
+    if abs(realized - target) > 1e-9 * max(1.0, abs(target)):
+        raise ValueError(
+            f"calibration round-trip failed: realized elasticity {realized!r} "
+            f"for target {target!r}"
         )
     return model
 

@@ -1,13 +1,16 @@
 """Optimal tariff solvers.
 
-Two-part tariffs price at a fixed point of the markup condition (for linear
-demand with deterministic price response the markup vanishes and the price is
-the expected wholesale price), with the connection charge absorbing the gap
-to the revenue target. Linear (volumetric-only) tariffs solve a Ramsey
-problem: an outer scalar bisection on the markup intensity against the
-revenue target, with an inner damped fixed point on the price vector (exact
-closed form under linear demand). Flat-rate variants run the same machinery
+Two-part tariffs price at a fixed point of the markup condition, with the
+connection charge absorbing the gap to the revenue target. Linear
+(volumetric-only) tariffs solve a Ramsey problem: an outer scalar bisection
+on the markup intensity against the revenue target, with an inner damped
+fixed point on the price vector. Flat-rate variants run the same machinery
 on the diagonal.
+
+The model's type picks the path: a `LinearDemandModel` (deterministic price
+response) takes the closed forms, in which the two-part markup vanishes and
+the Ramsey and monopoly prices lie on the segment from the expected
+wholesale price to the satiation price; any other `DemandModel` iterates.
 """
 
 from __future__ import annotations
@@ -185,16 +188,20 @@ def _damped_fixed_point(
     pi = np.asarray(start, dtype=float).copy()
     damping = config.damping
     prev_residual = math.inf
+    prev_update = np.zeros_like(pi)
     for _ in range(config.max_iterations):
         target = step(pi)
-        residual = float(np.max(np.abs(target - pi)))
+        update = target - pi
+        residual = float(np.max(np.abs(update)))
         if residual <= config.fp_tol * max(1.0, float(np.max(np.abs(pi)))):
             return target
-        # non-decreasing residual means oscillation or stall: damp harder
-        # (a period-2 cycle keeps the residual exactly constant)
-        if residual >= prev_residual:
+        # a non-decreasing residual (stall, or a period-2 cycle) or an update
+        # that turns back on the last one (overshoot) means damp harder; the
+        # markup step's slope is -rho, so at rho near 1 the overshoot shrinks
+        # too slowly to ever show in the residual
+        if residual >= prev_residual or float(update @ prev_update) < 0:
             damping = max(damping / 2.0, 1e-4)
-        prev_residual = residual
+        prev_residual, prev_update = residual, update
         pi = (1.0 - damping) * pi + damping * target
     raise NonConvergence(
         f"fixed point did not converge in {config.max_iterations} iterations "
@@ -202,22 +209,16 @@ def _damped_fixed_point(
     )
 
 
-def _two_part_price(
-    model: DemandModel, config: SolverConfig, method: str
-) -> np.ndarray:
+def _two_part_price(model: DemandModel, config: SolverConfig) -> np.ndarray:
     """Price of the optimal two-part tariff.
 
-    Closed form: with deterministic price response the Jacobian is
+    Linear demand: with deterministic price response the Jacobian is
     uncorrelated with the wholesale price and the markup term vanishes, so
-    the price is the expected wholesale price. The generic path iterates
+    the price is the expected wholesale price. Generic demand iterates
     pi <- lam_bar + E[dD]^-1 E[dD (lam - lam_bar)].
     """
     lam_bar = model.scenarios.lambda_bar
-    if method == "closed-form" or (
-        method == "auto" and isinstance(model, LinearDemandModel)
-    ):
-        if not isinstance(model, LinearDemandModel):
-            raise TypeError("closed form requires the linear demand model")
+    if isinstance(model, LinearDemandModel):
         return lam_bar.copy()
 
     lams = model.scenarios.lams
@@ -236,12 +237,29 @@ def _two_part_price(
     return _damped_fixed_point(step, lam_bar, config)
 
 
-def solve_two_part(
+def _markup_price(
     model: DemandModel,
-    F: float,
-    config: SolverConfig = DEFAULT_CONFIG,
-    *,
-    method: str = "auto",
+    rho: float,
+    pistar: np.ndarray,
+    start: np.ndarray,
+    config: SolverConfig,
+) -> np.ndarray:
+    """Damped fixed point of the markup condition pi <- pi* - rho E[dD]^-1 E[D].
+
+    rho = 1 is the monopoly price; rho in [0, 1) the Ramsey price at that
+    markup intensity.
+    """
+
+    def step(pi: np.ndarray) -> np.ndarray:
+        return pistar - rho * _solve_mean_jacobian(
+            model.mean_jacobian(pi), model.mean_demand(pi)
+        )
+
+    return _damped_fixed_point(step, start, config)
+
+
+def solve_two_part(
+    model: DemandModel, F: float, config: SolverConfig = DEFAULT_CONFIG
 ) -> Tariff:
     """Optimal two-part tariff meeting the revenue target F ($/cycle).
 
@@ -252,7 +270,7 @@ def solve_two_part(
     _require_finite(F)
     if model.customers < 1:
         raise ValueError("a two-part tariff needs at least one customer")
-    pi = _two_part_price(model, config, method)
+    pi = _two_part_price(model, config)
     charge = (F - phi_bar(model, pi)) / model.customers
     _warn_on_sign(model, pi, "two-part tariff")
     return Tariff(connection_charge=charge, prices=pi, family="two-part-optimal")
@@ -262,31 +280,20 @@ def monopoly_price(
     model: DemandModel,
     config: SolverConfig = DEFAULT_CONFIG,
     *,
-    method: str = "auto",
     verify: bool = True,
 ) -> np.ndarray:
     """Price maximizing the expected volumetric margin (feasibility frontier).
 
     Linear demand: the midpoint of the satiation price and the expected
-    wholesale price. Generic demand: damped fixed point of
-    pi <- pi* - E[dD]^-1 E[D]. With `verify`, spot-checks that nearby prices
-    do not collect a strictly larger margin.
+    wholesale price. Generic demand: the markup fixed point at rho = 1. With
+    `verify`, spot-checks that nearby prices do not collect a strictly
+    larger margin.
     """
-    if method == "closed-form" or (
-        method == "auto" and isinstance(model, LinearDemandModel)
-    ):
-        if not isinstance(model, LinearDemandModel):
-            raise TypeError("closed form requires the linear demand model")
+    if isinstance(model, LinearDemandModel):
         pim = 0.5 * (model.satiation_price() + model.scenarios.lambda_bar)
     else:
-        pistar = _two_part_price(model, config, method)
-
-        def step(pi: np.ndarray) -> np.ndarray:
-            return pistar - _solve_mean_jacobian(
-                model.mean_jacobian(pi), model.mean_demand(pi)
-            )
-
-        pim = _damped_fixed_point(step, pistar, config)
+        pistar = _two_part_price(model, config)
+        pim = _markup_price(model, 1.0, pistar, pistar, config)
 
     if verify:
         base = phi_bar(model, pim)
@@ -308,33 +315,23 @@ def _ramsey_price_at(
     s: float,
     pistar: np.ndarray,
     config: SolverConfig,
-    method: str,
     start: np.ndarray,
 ) -> np.ndarray:
-    """Inner solve of the markup fixed point at intensity rho = s/(1-s)."""
-    if method == "closed-form" or (
-        method == "auto" and isinstance(model, LinearDemandModel)
-    ):
+    """Ramsey price at intensity rho = s/(1-s).
+
+    Linear demand: the point s of the way from the expected wholesale price
+    to the satiation price. Generic demand: the markup fixed point.
+    """
+    if isinstance(model, LinearDemandModel):
         pio = model.satiation_price()
         lam_bar = model.scenarios.lambda_bar
         return lam_bar + s * (pio - lam_bar)
-
     rho = s / (1.0 - s) if s < 0.5 else 1.0
-
-    def step(pi: np.ndarray) -> np.ndarray:
-        return pistar - rho * _solve_mean_jacobian(
-            model.mean_jacobian(pi), model.mean_demand(pi)
-        )
-
-    return _damped_fixed_point(step, start, config)
+    return _markup_price(model, rho, pistar, start, config)
 
 
 def solve_linear(
-    model: DemandModel,
-    F: float,
-    config: SolverConfig = DEFAULT_CONFIG,
-    *,
-    method: str = "auto",
+    model: DemandModel, F: float, config: SolverConfig = DEFAULT_CONFIG
 ) -> RamseySolution:
     """Optimal linear (volumetric-only) tariff with expected surplus F.
 
@@ -344,9 +341,9 @@ def solve_linear(
     the collected margin increases monotonically) until the surplus matches F.
     """
     _require_finite(F)
-    pistar = _two_part_price(model, config, method)
+    pistar = _two_part_price(model, config)
     phi_star = phi_bar(model, pistar)
-    pim = monopoly_price(model, config, method=method, verify=False)
+    pim = monopoly_price(model, config, verify=False)
     phi_max = phi_bar(model, pim)
     tol = config.rs_tolerance(F)
     if F < phi_star - tol:
@@ -355,7 +352,7 @@ def solve_linear(
         raise InfeasibleTarget(F, (phi_star, phi_max))
 
     def price_at(s: float, start: np.ndarray) -> np.ndarray:
-        return _ramsey_price_at(model, s, pistar, config, method, start)
+        return _ramsey_price_at(model, s, pistar, config, start)
 
     s, pi, achieved = _bisect_target(model, price_at, 0.0, 0.5, pistar, F, config)
     rho = s / (1.0 - s)
@@ -433,11 +430,9 @@ def solve_fixed_A_two_part(
     F: float,
     A_fixed: float,
     config: SolverConfig = DEFAULT_CONFIG,
-    *,
-    method: str = "auto",
 ) -> Tariff:
     """Two-part tariff with a frozen connection charge."""
-    return solve_fixed_A_ramsey(model, F, A_fixed, config, method=method)[0]
+    return solve_fixed_A_ramsey(model, F, A_fixed, config)[0]
 
 
 def solve_fixed_A_ramsey(
@@ -445,8 +440,6 @@ def solve_fixed_A_ramsey(
     F: float,
     A_fixed: float,
     config: SolverConfig = DEFAULT_CONFIG,
-    *,
-    method: str = "auto",
 ) -> tuple[Tariff, RamseySolution]:
     """Fixed-charge two-part tariff and the Ramsey solution of its prices.
 
@@ -454,7 +447,7 @@ def solve_fixed_A_ramsey(
     the optimal linear tariff at the residual target.
     """
     residual = F - model.customers * A_fixed
-    solution = solve_linear(model, residual, config, method=method)
+    solution = solve_linear(model, residual, config)
     tariff = Tariff(
         connection_charge=A_fixed, prices=solution.prices, family="fixed-A-two-part"
     )
@@ -485,11 +478,7 @@ def adjusted_flat_delta(tariff: Tariff, base_rate: float) -> float:
     return float(tariff.prices[0]) - base_rate
 
 
-def check_assumption1(
-    model: DemandModel,
-    pi_samples,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> Assumption1Report:
+def check_assumption1(model: DemandModel, pi_samples) -> Assumption1Report:
     """Numerically screen the curvature condition behind the solvers.
 
     Estimates the Jacobian of g(pi) = E[dD(pi) (pi - lam)], the model's

@@ -79,6 +79,17 @@ class StochasticSlopeDemand(tl.DemandModel):
         return -self.slopes[scenario]
 
 
+def generic_twin(model: tl.LinearDemandModel) -> StochasticSlopeDemand:
+    """The same linear demand as a generic `DemandModel`.
+
+    Every scenario gets the slope G, so the solvers take their fixed-point
+    paths, the reference the closed forms are checked against.
+    """
+    return StochasticSlopeDemand(
+        [model.G] * model.scenarios.n_scenarios, model.scenarios, model.customers
+    )
+
+
 class CubicDemand(tl.DemandModel):
     """Strictly decreasing nonlinear demand; Jacobian left to finite differences."""
 

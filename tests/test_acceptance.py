@@ -14,7 +14,7 @@ import tarifflab as tl
 from tarifflab.checks import BAND_LADDER, fd_gradient, fd_hessian, rs_cell_scale
 from tarifflab.ingest import baseline_tariff
 from tarifflab.synthetic import bundled_dataset_paths
-from conftest import random_linear_model
+from conftest import generic_twin, random_linear_model
 from test_solvers import eq14_residual
 
 
@@ -193,7 +193,7 @@ def test_criterion_7_planner_bound(i2cov_model, i2_baseline):
         )
         baseline = tl.Tariff(connection_charge=0.0, prices=[2.0, 3.0],
                              family="two-part-optimal")
-        two_part = tl.solve_two_part(model, 12.0, method="fixed-point")
+        two_part = tl.solve_two_part(generic_twin(model), 12.0)
         sw_star = tl.welfare_gains(model, two_part, baseline).delta_sw
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -70,6 +70,62 @@ class TestFit:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("spelling", [["--elasticity", "-1e7"], ["--elasticity=-1e7"]])
+    def test_large_elasticity_round_trips(self, tmp_path, tiny_csvs, spelling):
+        # the round-trip tolerance scales with the target's magnitude
+        load, prices = tiny_csvs
+        out = tmp_path / "m.tlm"
+        code = main([
+            "fit", "--load", str(load), "--prices", str(prices), *spelling,
+            "--out", str(out),
+        ])
+        assert code == 0
+        model = tl.read_model_file(out).to_model()
+        assert tl.flat_rate_elasticity(model, 0.172) == pytest.approx(-1e7, rel=1e-9)
+
+    def test_calibration_mismatch_is_input_error(
+        self, tmp_path, tiny_csvs, capsys, monkeypatch
+    ):
+        import tarifflab.ingest
+
+        monkeypatch.setattr(
+            tarifflab.ingest, "flat_rate_elasticity", lambda model, rate: -0.25
+        )
+        load, prices = tiny_csvs
+        code = main([
+            "fit", "--load", str(load), "--prices", str(prices),
+            "--out", str(tmp_path / "m.tlm"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "calibration round-trip failed" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.tlm").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--flat-rate", "inf", "flat_rate"),
+            ("--elasticity", "-inf", "elasticity_target"),
+            ("--elasticity", "nan", "elasticity_target"),
+            ("--connection-charge", "nan", "connection_charge"),
+            ("--connection-charge", "inf", "connection_charge"),
+        ],
+    )
+    def test_non_finite_calibration_input(
+        self, tmp_path, tiny_csvs, capsys, recwarn, flag, value, field
+    ):
+        load, prices = tiny_csvs
+        out = tmp_path / "m.tlm"
+        code = main([
+            "fit", "--load", str(load), "--prices", str(prices), flag, value,
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_parse_error_reports_location(self, tmp_path, tiny_csvs, capsys):
         load, prices = tiny_csvs
         bad = tmp_path / "bad.csv"

@@ -7,10 +7,12 @@ keeps the domain constraints out of the strategies.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st, assume
+from hypothesis import assume, example, given, settings, strategies as st
 
 import tarifflab as tl
+from conftest import generic_twin
 from tarifflab.checks import fd_gradient, fd_hessian
+from tarifflab.pareto import FAMILIES
 
 SEEDS = st.integers(min_value=0, max_value=10**9)
 
@@ -109,8 +111,8 @@ def test_welfare_shift_with_connection_charge_is_exact_transfer(seed, da):
 @given(SEEDS)
 def test_two_part_closed_form_matches_generic_fixed_point(seed):
     model = make_model(seed)
-    closed = tl.solve_two_part(model, 5.0, method="closed-form")
-    generic = tl.solve_two_part(model, 5.0, method="fixed-point")
+    closed = tl.solve_two_part(model, 5.0)
+    generic = tl.solve_two_part(generic_twin(model), 5.0)
     assert float(np.abs(closed.prices - generic.prices).max()) <= 1e-8
 
 
@@ -132,8 +134,45 @@ def test_ramsey_solution_properties(seed, frac):
     markup = (sol.prices - pistar) / sol.prices
     assert float(np.abs(-(eps @ markup) - sol.rho).max()) <= 1e-6
     # generic agreement at the same target
-    generic = tl.solve_linear(model, F, method="fixed-point")
+    generic = tl.solve_linear(generic_twin(model), F)
     assert float(np.abs(sol.prices - generic.prices).max()) <= 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(SEEDS, st.floats(-0.2, 1.2), st.floats(0.0, 1.0))
+@example(seed=0, frac=1.0, charge_frac=0.0)  # the linear front's top end
+def test_every_family_matches_its_generic_twin(seed, frac, charge_frac):
+    # closed forms (linear model) against the fixed points, ternary search
+    # and bisections (the same demand as a generic model), family by family
+    model = make_model(seed)
+    twin = generic_twin(model)
+    lo = tl.phi_bar(model, model.scenarios.lambda_bar)
+    hi = tl.phi_bar(model, tl.monopoly_price(model, verify=False))
+    assume(hi > lo + 1e-6)
+    F = lo + frac * (hi - lo)
+    a_fixed = charge_frac * abs(F - lo) / model.customers
+    base_rate = float(model.scenarios.lambda_bar.mean())
+
+    def run(m, family):
+        try:
+            return family.solve(m, F, tl.SolverConfig(), a_fixed, base_rate)[0]
+        except (tl.InfeasibleTarget, tl.InvalidRegime) as exc:
+            return type(exc)
+
+    for family in FAMILIES.values():
+        closed, generic = run(model, family), run(twin, family)
+        if isinstance(closed, type) or isinstance(generic, type):
+            assert closed is generic, family.name
+            continue
+        # 2e-8: at the top of the front the margin is flat in the markup, so
+        # each path's rounding of it moves the Ramsey price by up to about
+        # sqrt(machine epsilon) = 1.5e-8
+        scale = max(1.0, float(np.abs(closed.prices).max()))
+        gap = float(np.abs(closed.prices - generic.prices).max())
+        assert gap <= 2e-8 * scale, family.name
+        assert generic.connection_charge == pytest.approx(
+            closed.connection_charge, rel=1e-8, abs=1e-8
+        ), family.name
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,6 +11,7 @@ from conftest import (
     G_I2,
     StochasticSlopeDemand,
     UpwardQuadraticDemand,
+    generic_twin,
     random_linear_model,
 )
 
@@ -45,8 +46,8 @@ class TestSolveTwoPart:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_generic_path_agrees_with_closed_form(self, seed):
         model = random_linear_model(seed)
-        closed = tl.solve_two_part(model, 10.0, method="closed-form")
-        generic = tl.solve_two_part(model, 10.0, method="fixed-point")
+        closed = tl.solve_two_part(model, 10.0)
+        generic = tl.solve_two_part(generic_twin(model), 10.0)
         assert np.abs(closed.prices - generic.prices).max() <= 1e-8
         assert generic.connection_charge == pytest.approx(
             closed.connection_charge, rel=1e-8, abs=1e-8
@@ -57,13 +58,13 @@ class TestSolveTwoPart:
         # pi* = lam_bar + E[g]^-1 E[g (lam - lam_bar)] = 1.5 + 0.5/2 = 1.75
         scenarios = tl.ScenarioSet(lams=[[1.0], [2.0]], omegas=[[10.0], [12.0]])
         model = StochasticSlopeDemand([[[1.0]], [[3.0]]], scenarios)
-        tariff = tl.solve_two_part(model, 0.0, method="fixed-point")
+        tariff = tl.solve_two_part(model, 0.0)
         assert tariff.prices[0] == pytest.approx(1.75, abs=1e-10)
 
     def test_singular_jacobian(self):
         scenarios = tl.ScenarioSet(lams=[[1.0, 2.0]], omegas=[[10.0, 8.0]])
         with pytest.raises(tl.SingularJacobian):
-            tl.solve_two_part(ConstantDemand(scenarios), 5.0, method="fixed-point")
+            tl.solve_two_part(ConstantDemand(scenarios), 5.0)
 
     def test_needs_customers(self, i2_model):
         model = tl.LinearDemandModel(
@@ -126,10 +127,10 @@ class TestSolveLinear:
             sol = tl.solve_linear(model, F)
             assert eq14_residual(model, sol) <= 1e-6
 
-    @pytest.mark.parametrize("F", [0.0, 11.0, 24.0])
+    @pytest.mark.parametrize("F", [0.0, 11.0, 24.0, 32.0])
     def test_generic_path_agrees_with_closed_form(self, i2_model, F):
-        closed = tl.solve_linear(i2_model, F, method="closed-form")
-        generic = tl.solve_linear(i2_model, F, method="fixed-point")
+        closed = tl.solve_linear(i2_model, F)
+        generic = tl.solve_linear(generic_twin(i2_model), F)
         assert np.abs(closed.prices - generic.prices).max() <= 1e-8
         assert generic.rho == pytest.approx(closed.rho, abs=1e-8)
 
@@ -138,16 +139,16 @@ class TestSolveLinear:
         lo = tl.phi_bar(model, model.scenarios.lambda_bar)
         hi = tl.phi_bar(model, tl.monopoly_price(model))
         F = 0.5 * (lo + hi)
-        closed = tl.solve_linear(model, F, method="closed-form")
-        generic = tl.solve_linear(model, F, method="fixed-point")
+        closed = tl.solve_linear(model, F)
+        generic = tl.solve_linear(generic_twin(model), F)
         assert np.abs(closed.prices - generic.prices).max() <= 1e-8
 
     def test_stochastic_slope_ramsey_hits_target(self):
         scenarios = tl.ScenarioSet(lams=[[1.0], [2.0]], omegas=[[10.0], [12.0]])
         model = StochasticSlopeDemand([[[1.0]], [[3.0]]], scenarios)
-        phimax = tl.phi_bar(model, tl.monopoly_price(model, method="fixed-point"))
+        phimax = tl.phi_bar(model, tl.monopoly_price(model))
         F = 0.5 * phimax
-        sol = tl.solve_linear(model, F, method="fixed-point")
+        sol = tl.solve_linear(model, F)
         assert sol.achieved_rs == pytest.approx(F, abs=1e-8 * max(1, abs(F)))
         # 1-D grid oracle: the Ramsey price maximizes welfare on the band
         settle = tl.phi_bar(model, sol.prices)
@@ -171,7 +172,7 @@ class TestMonopolyPrice:
         assert sol.rho == pytest.approx(1.0, abs=1e-6)
 
     def test_generic_agrees(self, i2_model):
-        generic = tl.monopoly_price(i2_model, method="fixed-point")
+        generic = tl.monopoly_price(generic_twin(i2_model))
         np.testing.assert_allclose(generic, [4.5, 7.0], atol=1e-8)
 
     def test_nonconvergence_with_tiny_budget(self):
@@ -179,7 +180,7 @@ class TestMonopolyPrice:
         model = CubicDemand(scenarios)
         config = tl.SolverConfig(max_iterations=2)
         with pytest.raises(tl.NonConvergence):
-            tl.monopoly_price(model, config, method="fixed-point")
+            tl.monopoly_price(model, config)
 
 
 class TestSolveFlatLinear:
