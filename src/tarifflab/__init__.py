@@ -19,6 +19,7 @@ from .errors import (
     MalformedRow,
     MissingHour,
     ModelFileError,
+    NegativePrice,
     NonConvergence,
     NonFiniteValue,
     NonPositiveLoad,

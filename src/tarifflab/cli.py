@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .checks import run_model_checks
-from .errors import InfeasibleTarget, InvalidRegime, TariffLabError
+from .errors import InfeasibleTarget, InvalidRegime, NegativePrice, TariffLabError
 from .ingest import (
     CalibrationConfig,
     ModelFilePayload,
@@ -49,6 +50,9 @@ from .svg import render_fronts
 _NUMERIC_OPTIONS = (
     "--target-rs", "--f-min", "--f-max", "--elasticity", "--connection-charge",
 )
+
+# largest `pareto --steps`, checked before any grid is built
+MAX_STEPS = 10_000
 
 # every accepted spelling of a family, its own name included
 _ALIASES = {a: f.name for f in FAMILIES.values() for a in (f.name, *f.aliases)}
@@ -159,7 +163,10 @@ def _parse_csv_with_context(path, kind: str) -> RawSeries:
 def cmd_fit(args) -> int:
     load = _parse_csv_with_context(args.load, "load")
     prices = _scaled_prices(_parse_csv_with_context(args.prices, "price"), args.price_unit)
-    scenarios = estimate_moments(load, prices)
+    try:
+        scenarios = estimate_moments(load, prices)
+    except NegativePrice as exc:
+        raise ValueError(f"{args.prices}: {exc}") from exc
     config = CalibrationConfig(
         flat_rate=args.flat_rate,
         elasticity_target=args.elasticity,
@@ -236,13 +243,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    steps = args.steps
+    if steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"--steps must be at most {MAX_STEPS}, got {steps}")
     payload = read_model_file(args.model)
     model = payload.to_model()
     baseline = _resolve_baseline(payload, model, args)
     families = _parse_families(args.families)
-    steps = args.steps
-    if steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {steps}")
     if args.f_min is not None or args.f_max is not None:
         if args.f_min is None or args.f_max is None:
             raise ValueError("--f-min and --f-max must be given together")
@@ -250,6 +259,14 @@ def cmd_pareto(args) -> int:
             raise ValueError(
                 f"--steps 1 needs --f-min equal to --f-max, got --f-min "
                 f"{args.f_min!r} and --f-max {args.f_max!r}"
+            )
+        # a NaN bound goes on to the solvers' finite-target check; an
+        # infinite span would make linspace warn and fill the grid with NaN
+        bounds = (args.f_min, args.f_max)
+        if not any(map(math.isnan, bounds)) and not math.isfinite(bounds[1] - bounds[0]):
+            raise ValueError(
+                f"the grid from --f-min {args.f_min!r} to --f-max "
+                f"{args.f_max!r} has no finite step"
             )
         grid = np.linspace(args.f_min, args.f_max, steps)
     else:

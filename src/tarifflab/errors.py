@@ -62,6 +62,18 @@ class MissingHour(TariffLabError):
         super().__init__(f"day {day} is missing hour {hour}")
 
 
+class NegativePrice(TariffLabError, ValueError):
+    """A wholesale price is below zero; carries the day label and hour.
+
+    Also a ValueError, which `ScenarioSet` raises for the same condition.
+    """
+
+    def __init__(self, day: int, hour: int):
+        self.day = day
+        self.hour = hour
+        super().__init__(f"day {day} hour {hour}: wholesale prices must be nonnegative")
+
+
 class NonFiniteValue(TariffLabError):
     """A CSV value parsed to NaN or infinity."""
 

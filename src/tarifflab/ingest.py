@@ -23,6 +23,7 @@ from .errors import (
     MalformedRow,
     MissingHour,
     ModelFileError,
+    NegativePrice,
     NonFiniteValue,
     NonPositiveLoad,
     ScaleNonPositive,
@@ -96,18 +97,119 @@ class RevenueBaseline:
     net: float
 
 
+def _read_utf8(path: Path, error) -> str:
+    """The file's text, newlines untranslated; a byte that is not UTF-8
+    raises `error(line, reason)` with the 1-based line it sits on."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(
+            line, f"not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})"
+        ) from None
+
+
 def parse_csv(path, kind: str) -> RawSeries:
     """Parse an hourly series CSV with header `day,hour,value`.
 
     Days are re-indexed densely from 0 (sorted by their original labels);
     every day must carry exactly the hours 0..N-1 where N is the largest
-    hour seen. Errors carry the 1-based line number.
+    hour seen. The file must be UTF-8. Errors carry the 1-based line number.
+
+    A clean file is parsed whole with numpy (`_parse_dense`); anything else,
+    every error included, goes through the row-by-row reader `_parse_rows`.
+    Both give the same RawSeries on a file both accept.
     """
     if kind not in SERIES_KINDS:
         raise ValueError(f"kind must be one of {SERIES_KINDS}, got {kind!r}")
     path = Path(path)
+    series = _parse_dense(_read_utf8(path, MalformedRow), kind)
+    return series if series is not None else _parse_rows(path, kind)
+
+
+_HEADER = "day,hour,value\n"
+# the bytes a clean file's rows are made of: digits, separators and the
+# number syntax float() reads; quotes, CR, spaces, NUL, nan/inf and
+# anything not ASCII are left to the row-by-row reader
+_CLEAN_BYTES = b"0123456789,\n.eE+-"
+# labels of up to 18 digits are exact in int64
+_LABEL_DIGITS = 18
+
+
+def _parse_dense(text: str, kind: str) -> RawSeries | None:
+    """Whole-file parse of a clean CSV, or None to leave the file to `_parse_rows`.
+
+    Clean means the exact header, then `digits,digits,number` rows ended by
+    a newline (the last one may lack it) that cover hours 0..N-1 of every
+    day exactly once, with finite values and, for load, none negative.
+    Values go through float() as in the row reader, so the result is the
+    same bit for bit.
+    """
+    if not text.startswith(_HEADER):
+        return None
+    raw = text[len(_HEADER):].encode()
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    if raw.translate(None, _CLEAN_BYTES):
+        return None
+    b = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    rows = ends.size // 3
+    if ends.size % 3 or not (b[ends].reshape(rows, 3) == list(b",,\n")).all():
+        return None
+    widths = np.diff(ends, prepend=-1) - 1
+    if not (widths > 0).all():
+        return None
+
+    labels = []
+    for column in (0, 1):
+        width = widths[column::3]
+        if width.max() > _LABEL_DIGITS:
+            return None
+        start = ends[column::3] - width
+        # one pass per digit position, most significant first
+        label = np.zeros(rows, np.int64)
+        for k in range(width.max()):
+            live = k < width
+            digit = b[np.where(live, start + k, start)] - np.uint8(ord("0"))
+            if (digit[live] > 9).any():
+                return None
+            label = np.where(live, label * 10 + digit, label)
+        labels.append(label)
+    day, hour = labels
+
+    in_value = np.repeat(np.tile([False, False, True], rows), widths + 1)
+    try:
+        values = np.fromiter(map(float, b[in_value].tobytes().split()), float, rows)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or (kind == "load" and (values < 0).any()):
+        return None
+
+    order = np.lexsort((hour, day))
+    periods = int(hour.max()) + 1
+    if rows % periods:
+        return None
+    day = day[order].reshape(-1, periods)
+    hour = hour[order].reshape(-1, periods)
+    if not (
+        (hour == np.arange(periods)).all()
+        and (day == day[:, :1]).all()
+        and (np.diff(day[:, 0]) > 0).all()
+    ):
+        return None
+    return RawSeries(
+        kind=kind,
+        values=values[order].reshape(-1, periods),
+        day_labels=tuple(day[:, 0].tolist()),
+    )
+
+
+def _parse_rows(path: Path, kind: str) -> RawSeries:
+    """Row-by-row reader: any CSV the `csv` module reads, every error located."""
     cells: dict[tuple[int, int], float] = {}
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -143,12 +245,13 @@ def parse_csv(path, kind: str) -> RawSeries:
 
     periods = max(h for _, h in cells) + 1
     labels = sorted({d for d, _ in cells})
-    values = np.empty((len(labels), periods))
-    for i, day in enumerate(labels):
+    # every cell is checked before the block is allocated, so a stray huge
+    # hour label is a MissingHour, not a days x hours allocation
+    for day in labels:
         for hour in range(periods):
             if (day, hour) not in cells:
                 raise MissingHour(day, hour)
-            values[i, hour] = cells[(day, hour)]
+    values = np.array([[cells[day, hour] for hour in range(periods)] for day in labels])
     return RawSeries(kind=kind, values=values, day_labels=tuple(labels))
 
 
@@ -158,7 +261,8 @@ def estimate_moments(load: RawSeries, prices: RawSeries) -> ScenarioSet:
     The returned set's internal moments are population (1/J) moments; the
     unbiased 1/(J-1) estimate is available from
     `ScenarioSet.sample_cross_covariance`. At least two days are required,
-    otherwise the covariance has no sample estimate at all.
+    otherwise the covariance has no sample estimate at all. A negative price
+    raises NegativePrice naming its day label and hour.
     """
     if load.days != prices.days or load.periods != prices.periods:
         raise AlignmentMismatch(
@@ -169,6 +273,10 @@ def estimate_moments(load: RawSeries, prices: RawSeries) -> ScenarioSet:
         raise AlignmentMismatch("load and price files cover different days")
     if load.days < 2:
         raise SingleScenario("need at least two days to estimate moments")
+    negative = np.argwhere(prices.values < 0)
+    if negative.size:
+        day, hour = negative[0]
+        raise NegativePrice(prices.day_labels[day], int(hour))
     return ScenarioSet(lams=prices.values, omegas=load.values)
 
 
@@ -302,7 +410,7 @@ class ModelFilePayload:
 
 
 def _fmt_vector(v: np.ndarray) -> str:
-    return " ".join(repr(float(x)) for x in np.asarray(v).ravel())
+    return " ".join(map(repr, np.asarray(v, dtype=float).ravel().tolist()))
 
 
 def write_model_file(
@@ -334,13 +442,13 @@ def write_model_file(
         if "\n" in str(value):
             raise ValueError("provenance values must be single-line")
         lines.append(f"provenance.{key} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def model_payload_text(path) -> str:
     """The payload portion of a model file (everything above provenance)."""
     keep = []
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("provenance."):
             break
         keep.append(line)
@@ -374,7 +482,8 @@ def read_model_file(path) -> ModelFilePayload:
     path = Path(path)
     entries: dict[str, tuple[int, str]] = {}
     provenance: dict[str, str] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    text = _read_utf8(path, lambda line, reason: ModelFileError(path, line, reason))
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

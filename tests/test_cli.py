@@ -139,6 +139,30 @@ class TestFit:
         assert "bad.csv" in err
         assert "line 3" in err
 
+    def test_non_utf8_csv_names_file_and_line(self, tmp_path, tiny_csvs, capsys):
+        _, prices = tiny_csvs
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"day,hour,value\n0,0,1.0\n0,1,\xff1.0\n0,2,1.0\n")
+        code = main([
+            "fit", "--load", str(bad), "--prices", str(prices),
+            "--out", str(tmp_path / "m.tlm"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 3: not UTF-8: byte 0xff" in err
+        assert "Traceback" not in err
+
+    def test_negative_price_names_file_day_and_hour(self, tmp_path, tiny_csvs, capsys):
+        load, prices = tiny_csvs
+        text = prices.read_text().replace("\n2,1,", "\n2,1,-", 1)
+        prices.write_text(text)
+        out = tmp_path / "m.tlm"
+        code = main(["fit", "--load", str(load), "--prices", str(prices), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{prices}: day 2 hour 1: wholesale prices must be nonnegative" in err
+        assert not out.exists()
+
     def test_bundled_dataset_defaults(self, tmp_path, capsys):
         # the shipped 92-day synthetic dataset with paper-default calibration
         from tarifflab.synthetic import bundled_dataset_paths
@@ -225,6 +249,19 @@ class TestSolve:
             "--target-rs", "lots",
         ])
         assert code == 2
+
+    def test_non_utf8_model_file_names_file_and_line(self, i2_model_file, capsys):
+        lines = i2_model_file.read_bytes().split(b"\n")
+        lines[1] = b"periods = \xfe2"
+        i2_model_file.write_bytes(b"\n".join(lines))
+        code = main([
+            "solve", "--model", str(i2_model_file), "--family", "linear",
+            "--target-rs", "24",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{i2_model_file}:2: not UTF-8: byte 0xfe" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
     def test_non_finite_target_exit_2(self, i2_model_file, capsys, target):
@@ -384,6 +421,41 @@ class TestPareto:
         assert "revenue target must be finite" in err
         assert "connection charge" not in err
 
+
+    @pytest.mark.parametrize(
+        "bounds", [["1e308", "-1e308", "3"], ["-inf", "24", "3"], ["inf", "inf", "1"]],
+    )
+    def test_non_finite_grid_step_names_bounds(self, i2_model_file, capsys, bounds):
+        f_min, f_max, steps = bounds
+        code = main([
+            "pareto", "--model", str(i2_model_file), f"--f-min={f_min}",
+            f"--f-max={f_max}", "--steps", steps,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--f-min" in err and "--f-max" in err and "no finite step" in err
+        assert "Warning" not in err
+
+    def test_steps_capped_before_anything_is_built(
+        self, i2_model_file, capsys, monkeypatch
+    ):
+        import tracemalloc
+
+        import tarifflab.cli as cli
+
+        def unreachable(path):
+            raise AssertionError("model read before --steps was checked")
+
+        monkeypatch.setattr(cli, "read_model_file", unreachable)
+        tracemalloc.start()
+        try:
+            code = main(["pareto", "--model", str(i2_model_file), "--steps", str(10**12)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"--steps must be at most {cli.MAX_STEPS}" in capsys.readouterr().err
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize(
         "bounds", [["--f-min", "-1e3", "--f-max", "-1e2"],

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tarifflab as tl
 from tarifflab.ingest import (
+    _fmt_vector,
+    _parse_dense,
+    _parse_rows,
     fit_provenance,
     model_payload_text,
     toeplitz_kernel,
@@ -45,6 +49,13 @@ class TestParseCsv:
             tl.parse_csv(path, "load")
         assert exc_info.value.day == 1
         assert exc_info.value.hour == 1
+
+    def test_huge_hour_label_is_missing_hour(self, tmp_path):
+        # found before a 1 x 10**14 block is allocated
+        path = write_csv(tmp_path / "x.csv", ["0,0,1.0", "0,100000000000000,2.0"])
+        with pytest.raises(tl.MissingHour) as exc_info:
+            tl.parse_csv(path, "load")
+        assert (exc_info.value.day, exc_info.value.hour) == (0, 1)
 
     def test_non_finite_value(self, tmp_path):
         path = write_csv(tmp_path / "x.csv", ["0,0,NaN", "0,1,2.0"])
@@ -94,12 +105,114 @@ class TestParseCsv:
         np.testing.assert_allclose(series.values[0], [3.0, 4.0])
 
 
+    def test_not_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"day,hour,value\n0,0,1.0\n0,1,\xff2.0\n")
+        with pytest.raises(tl.MalformedRow, match="not UTF-8: byte 0xff") as exc_info:
+            tl.parse_csv(path, "load")
+        assert exc_info.value.line == 3
+
+    def test_fast_path_takes_clean_files(self):
+        from tarifflab.synthetic import bundled_dataset_paths
+
+        for path, kind in zip(bundled_dataset_paths(), ("load", "price")):
+            fast = _parse_dense(path.read_text(encoding="utf-8"), kind)
+            assert fast is not None
+            rows = _parse_rows(path, kind)
+            assert fast.values.tobytes() == rows.values.tobytes()
+            assert fast.day_labels == rows.day_labels
+
+
+# one mutation away from a clean file; the whole-file parser must either
+# agree with the row-by-row reader or leave the file to it
+MUTATIONS = (
+    "none", "shuffle", "drop", "duplicate", "crlf", "quote", "blank", "pad",
+    "non-finite", "negative", "bad-label", "long-label", "no-final-newline",
+)
+
+
+@st.composite
+def mutated_csvs(draw):
+    kind = draw(st.sampled_from(["load", "price"]))
+    periods = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True))
+    low = 0.0 if kind == "load" else -1e6
+    rows = []
+    for day in labels:
+        for hour in range(periods):
+            x = draw(st.floats(low, 1e6, allow_nan=False))
+            value = draw(st.sampled_from(
+                [repr(x), f"{x:.3E}", f"{x:g}", f"+{x!r}".replace("+-", "-")]
+            ))
+            label = str(day).zfill(draw(st.integers(1, 4)))
+            rows.append([label, str(hour), value])
+
+    mutation = draw(st.sampled_from(MUTATIONS))
+    i = draw(st.integers(0, len(rows) - 1))
+    field = draw(st.integers(0, 2))
+    newline, final = "\n", "\n"
+    if mutation == "shuffle":
+        rows = draw(st.permutations(rows))
+    elif mutation == "drop":
+        del rows[i]
+    elif mutation == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    elif mutation == "crlf":
+        newline = final = "\r\n"
+    elif mutation == "quote":
+        rows[i][field] = f'"{rows[i][field]}"'
+    elif mutation == "blank":
+        rows.insert(i, [])
+    elif mutation == "pad":
+        rows[i][field] = f" {rows[i][field]} "
+    elif mutation == "non-finite":
+        rows[i][2] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999"]))
+    elif mutation == "negative":
+        rows[i][2] = "-" + rows[i][2].lstrip("+-")
+    elif mutation == "bad-label":
+        rows[i][0] = draw(st.sampled_from(["x", "1.0", "-3", "+2", "1e3", "", "\u0663"]))
+    elif mutation == "long-label":
+        rows[i][0] = "1" * draw(st.integers(18, 25))
+    elif mutation == "no-final-newline":
+        final = ""
+    lines = ["day,hour,value"] + [",".join(row) for row in rows]
+    return kind, newline.join(lines) + final
+
+
+def _outcome(parse, path, kind):
+    try:
+        series = parse(path, kind)
+    except tl.TariffLabError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return series.values.dtype, series.values.tobytes(), series.day_labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_csvs())
+def test_fast_path_agrees_with_row_reader(tmp_path_factory, case):
+    kind, text = case
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(tl.parse_csv, path, kind) == _outcome(_parse_rows, path, kind)
+
+
 class TestEstimateMoments:
     def test_single_day_rejected(self, tmp_path):
         load = tl.parse_csv(write_csv(tmp_path / "l.csv", ["0,0,1.0", "0,1,2.0"]), "load")
         prices = tl.parse_csv(write_csv(tmp_path / "p.csv", ["0,0,1.0", "0,1,2.0"]), "price")
         with pytest.raises(tl.SingleScenario):
             tl.estimate_moments(load, prices)
+
+    def test_negative_price_names_day_and_hour(self, tmp_path):
+        load = tl.parse_csv(write_csv(
+            tmp_path / "l.csv", ["4,0,1.0", "4,1,2.0", "9,0,1.0", "9,1,2.0"]
+        ), "load")
+        prices = tl.parse_csv(write_csv(
+            tmp_path / "p.csv", ["4,0,1.0", "4,1,2.0", "9,0,1.0", "9,1,-0.5"]
+        ), "price")
+        with pytest.raises(tl.NegativePrice, match="day 9 hour 1") as exc_info:
+            tl.estimate_moments(load, prices)
+        assert (exc_info.value.day, exc_info.value.hour) == (9, 1)
 
     def test_identical_days_zero_covariance(self, tmp_path):
         rows = ["0,0,5.0", "0,1,6.0", "1,0,5.0", "1,1,6.0"]
@@ -346,9 +459,55 @@ class TestModelFile:
         with pytest.raises(ValueError, match="positive definite"):
             payload.to_model()
 
+    def test_not_utf8_names_file_and_line(self, tmp_path, i2_model):
+        path = tmp_path / "model.tlm"
+        tl.write_model_file(path, i2_model)
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b" ", b" \xe9", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(tl.ModelFileError, match="not UTF-8: byte 0xe9") as exc_info:
+            tl.read_model_file(path)
+        assert exc_info.value.line == 4
+        assert str(exc_info.value).startswith(f"{path}:4: ")
+
+    def test_file_bytes_match_reference_formatter(self, tmp_path):
+        # the writer's numbers are exactly what repr(float(x)) gives, x by x
+        rng = np.random.default_rng(5)
+        lams = np.abs(rng.normal(size=(3, 4))) * [1e-300, 1e16, 0.1, 1.0]
+        omegas = rng.normal(size=(3, 4)) * [5e-324, 1e22, -0.0, 123456789.0]
+        G = np.diag([1e16, 1e-5, 1.0 / 3.0, 2.0])
+        scenarios = tl.ScenarioSet(lams=lams, omegas=omegas)
+        model = tl.LinearDemandModel(G=G, scenarios=scenarios, customers=1)
+        path = tmp_path / "model.tlm"
+        tl.write_model_file(path, model)
+        stored = dict(
+            line.split(" = ", 1) for line in path.read_text(encoding="utf-8").splitlines()
+        )
+        expected = {
+            "g": G,
+            "lambda_bar": scenarios.lambda_bar,
+            "omega_bar": scenarios.omega_bar,
+            "sigma_lambda_omega": scenarios.sigma_lambda_omega,
+        }
+        for j in range(3):
+            expected[f"scenario.{j}.lambda"] = lams[j]
+            expected[f"scenario.{j}.omega"] = omegas[j]
+        for key, values in expected.items():
+            assert stored[key] == _reference_fmt(values)
+
     def test_fit_provenance_digests(self, tmp_path, two_day_files):
         load, prices = two_day_files
         config = tl.CalibrationConfig()
         prov = fit_provenance(load, prices, config, created="t0")
         assert prov["load_digest"].startswith("sha256:")
         assert prov["created"] == "t0"
+
+
+def _reference_fmt(v) -> str:
+    return " ".join(repr(float(x)) for x in np.asarray(v).ravel())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+def test_vector_format_matches_reference(xs):
+    assert _fmt_vector(np.array(xs, dtype=float)) == _reference_fmt(xs)
