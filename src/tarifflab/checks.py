@@ -6,7 +6,8 @@ differences: first derivatives use `model.central_difference` with
 h = 1e-5 * max(1, |pi_k|); second derivatives use the four-point stencil
 below with h = 1e-3 * max(1, |pi_k|) because the targets are exactly
 quadratic (no truncation error) and the larger step suppresses cancellation
-noise at utility scale.
+noise at utility scale. The stencil's function takes a (K, N) stack of price
+vectors, as `phi_bar` does, and is called once per stencil row.
 """
 
 from __future__ import annotations
@@ -56,35 +57,34 @@ class CheckResult:
 
 
 def fd_hessian(f, pi: np.ndarray, h_scale: float = HESS_H_SCALE) -> np.ndarray:
+    """Four-point finite-difference Hessian of f at pi.
+
+    f maps a (K, N) stack of price vectors to K values. Row i of the
+    stencil (pi +- h_i e_i, then pi +- h_i e_i +- h_j e_j for j > i) is
+    evaluated in one call, so f is called N + 1 times; rows are built one
+    at a time to keep the stencil's memory at O(N^2).
+    """
     pi = np.asarray(pi, dtype=float)
     n = pi.size
     hs = np.array([h_scale * max(1.0, abs(pi[t])) for t in range(n)])
     out = np.empty((n, n))
-    f0 = f(pi)
+    f0 = f(pi[np.newaxis])[0]
     for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                up = pi.copy()
-                dn = pi.copy()
-                up[i] += hs[i]
-                dn[i] -= hs[i]
-                out[i, i] = (f(up) - 2.0 * f0 + f(dn)) / hs[i] ** 2
-            else:
-                pp = pi.copy()
-                pm = pi.copy()
-                mp = pi.copy()
-                mm = pi.copy()
-                pp[i] += hs[i]
-                pp[j] += hs[j]
-                pm[i] += hs[i]
-                pm[j] -= hs[j]
-                mp[i] -= hs[i]
-                mp[j] += hs[j]
-                mm[i] -= hs[i]
-                mm[j] -= hs[j]
-                out[i, j] = out[j, i] = (f(pp) - f(pm) - f(mp) + f(mm)) / (
-                    4.0 * hs[i] * hs[j]
-                )
+        m = n - 1 - i
+        cols = np.arange(i + 1, n)
+        points = np.repeat(pi[np.newaxis], 2 + 4 * m, axis=0)
+        points[0, i] += hs[i]
+        points[1, i] -= hs[i]
+        # corners (+,+), (+,-), (-,+), (-,-) of each pair (i, j > i)
+        corners = points[2:].reshape(4, m, n)
+        corners[:2, :, i] += hs[i]
+        corners[2:, :, i] -= hs[i]
+        corners[0::2, np.arange(m), cols] += hs[cols]
+        corners[1::2, np.arange(m), cols] -= hs[cols]
+        values = f(points)
+        out[i, i] = (values[0] - 2.0 * f0 + values[1]) / hs[i] ** 2
+        pp, pm, mp, mm = values[2:].reshape(4, m)
+        out[i, cols] = out[cols, i] = (pp - pm - mp + mm) / (4.0 * hs[i] * hs[cols])
     return out
 
 

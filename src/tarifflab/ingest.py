@@ -206,11 +206,19 @@ def _parse_dense(text: str, kind: str) -> RawSeries | None:
     )
 
 
+def _located_rows(reader):
+    """Rows of a csv reader; a `csv.Error` (say an over-long field) is located."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
+
+
 def _parse_rows(path: Path, kind: str) -> RawSeries:
     """Row-by-row reader: any CSV the `csv` module reads, every error located."""
     cells: dict[tuple[int, int], float] = {}
     with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _located_rows(csv.reader(fh))
         try:
             header = next(reader)
         except StopIteration:

@@ -186,13 +186,19 @@ class DemandModel:
             axis=0,
         )
 
-    def expected_margin(self, pi: np.ndarray) -> float:
-        """phi-bar via per-scenario settlement: mean of (pi - lam_j)' D_j."""
+    def expected_margin(self, prices: np.ndarray) -> np.ndarray:
+        """phi-bar of an N-vector, or of each row of a (K, N) stack.
+
+        Each row is settled per scenario: the mean of (pi - lam_j)' D_j.
+        """
         ss = self.scenarios
-        total = 0.0
-        for j in range(ss.n_scenarios):
-            total += float((pi - ss.lams[j]) @ self.demand(pi, j))
-        return total / ss.n_scenarios
+        margins = []
+        for pi in np.atleast_2d(prices):
+            total = 0.0
+            for j in range(ss.n_scenarios):
+                total += float((pi - ss.lams[j]) @ self.demand(pi, j))
+            margins.append(total / ss.n_scenarios)
+        return np.reshape(margins, prices.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -243,10 +249,15 @@ class LinearDemandModel(DemandModel):
     def mean_jacobian_margin(self, pi: np.ndarray) -> np.ndarray:
         return -self.G @ (pi - self.scenarios.lambda_bar)
 
-    def expected_margin(self, pi: np.ndarray) -> float:
-        pi = np.asarray(pi, dtype=float)
+    def expected_margin(self, prices: np.ndarray) -> np.ndarray:
         ss = self.scenarios
-        margin = float((pi - ss.lambda_bar) @ (ss.omega_bar - self.G @ pi))
+        # Row-wise products, (N,N)@(N,1) and (1,N)@(N,1), so a price vector
+        # gets the same bits alone as in a stack of any height.
+        demand = self._omega_column - np.matmul(self.G, prices[..., np.newaxis])
+        markup = (prices - ss.lambda_bar)[..., np.newaxis, :]
+        # [()] turns a price vector's 0-d margin into a numpy scalar, whose
+        # arithmetic skips the ufunc set-up that a 0-d array pays per call
+        margin = np.matmul(markup, demand)[..., 0, 0][()]
         # For linear demand cov(lambda, D) = cov(lambda, Omega): the -G pi
         # shift is deterministic.
         return margin - ss.trace_sigma
@@ -258,6 +269,10 @@ class LinearDemandModel(DemandModel):
     @cached_property
     def _satiation_price(self) -> np.ndarray:
         return _readonly(np.linalg.solve(self.G, self.scenarios.omega_bar))
+
+    @cached_property
+    def _omega_column(self) -> np.ndarray:
+        return self.scenarios.omega_bar[:, np.newaxis]
 
 
 @dataclass(frozen=True)
@@ -333,13 +348,18 @@ class ElasticityMatrix:
         object.__setattr__(self, "pi", _readonly(self.pi))
 
 
-def _as_price_vector(model: DemandModel, pi) -> np.ndarray:
-    pi = np.atleast_1d(np.asarray(pi, dtype=float))
-    if pi.ndim != 1 or pi.size != model.periods:
+def _as_price_vector(model: DemandModel, pi, *, stack: bool = False) -> np.ndarray:
+    """Validated float prices: one N-vector or, with `stack`, also (K, N)."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.ndim == 0:
+        pi = pi.reshape(1)
+    if pi.ndim > (2 if stack else 1) or pi.shape[-1] != model.periods:
         raise DimensionMismatch(
-            f"price vector has {pi.size} entries, model has {model.periods} periods"
+            f"price vector has {pi.shape[-1] if stack else pi.size} entries, "
+            f"model has {model.periods} periods"
         )
-    if not np.isfinite(pi).all():
+    # count_nonzero costs less than .all(), and this runs on every margin
+    if np.count_nonzero(np.isfinite(pi)) != pi.size:
         raise ValueError("price vector must be finite")
     return pi
 
@@ -349,15 +369,20 @@ def expected_demand(model: DemandModel, pi) -> np.ndarray:
     return model.mean_demand(_as_price_vector(model, pi))
 
 
-def phi_bar(model: DemandModel, pi) -> float:
+def phi_bar(model: DemandModel, pi) -> float | np.ndarray:
     """Expected margin collected through the volumetric charge, $/cycle.
 
     For linear demand this is the closed form
     (pi - lambda_bar)' (omega_bar - G pi) - tr(cov(lambda, Omega));
     the covariance trace is the price-volume risk term. Generic demand
     models fall back to the per-scenario settlement average.
+
+    `pi` is one price vector, giving a float, or a (K, N) stack of them,
+    giving K margins; each row's margin is bit-equal to the 1-D call.
     """
-    return model.expected_margin(_as_price_vector(model, pi))
+    prices = _as_price_vector(model, pi, stack=True)
+    margins = model.expected_margin(prices)
+    return float(margins) if prices.ndim == 1 else margins
 
 
 def retailer_surplus(model: DemandModel, tariff: Tariff) -> float:

@@ -152,6 +152,19 @@ class TestFit:
         assert f"{bad}: line 3: not UTF-8: byte 0xff" in err
         assert "Traceback" not in err
 
+    def test_over_long_field_names_file_and_line(self, tmp_path, capsys):
+        # longer than the csv module's 131072-character field limit
+        big = tmp_path / "big.csv"
+        big.write_text("day,hour,value\n0,0," + "1" * 200_000 + "\n")
+        code = main([
+            "fit", "--load", str(big), "--prices", str(big),
+            "--out", str(tmp_path / "m.tlm"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{big}: line 2: field larger than field limit" in err
+        assert "Traceback" not in err
+
     def test_negative_price_names_file_day_and_hour(self, tmp_path, tiny_csvs, capsys):
         load, prices = tiny_csvs
         text = prices.read_text().replace("\n2,1,", "\n2,1,-", 1)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import tarifflab as tl
-from conftest import generic_twin
+from conftest import generic_twin, random_linear_model
 from tarifflab.checks import fd_gradient, fd_hessian
 from tarifflab.pareto import FAMILIES
 
@@ -273,3 +273,120 @@ def test_linear_assumption1_field_matches_scenario_loop(seed):
         loop = tl.DemandModel.mean_jacobian_margin(model, pi)
         scale = max(1.0, float(np.abs(loop).max()))
         assert float(np.abs(closed - loop).max()) <= 1e-9 * scale
+
+
+def random_stack(model: tl.DemandModel, rng: np.random.Generator, rows: int) -> np.ndarray:
+    lam = model.scenarios.lambda_bar
+    return lam + rng.random((rows, model.periods)) * 2.0 * (1.0 + np.abs(lam))
+
+
+def assert_rows_bit_equal(model: tl.DemandModel, prices: np.ndarray) -> None:
+    stacked = tl.phi_bar(model, prices)
+    assert stacked.shape == (len(prices),)
+    assert np.array_equal(stacked, [tl.phi_bar(model, p) for p in prices])
+
+
+@pytest.fixture(scope="module")
+def bundled_model() -> tl.LinearDemandModel:
+    from tarifflab.synthetic import bundled_dataset_paths
+
+    load_path, prices_path = bundled_dataset_paths()
+    scenarios = tl.estimate_moments(
+        tl.parse_csv(load_path, "load"), tl.parse_csv(prices_path, "price")
+    )
+    return tl.calibrate_demand(scenarios, tl.CalibrationConfig())
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(1, 9))
+def test_stacked_margin_rows_equal_one_dimensional_calls(seed, rows):
+    model = make_model(seed)
+    prices = random_stack(model, np.random.default_rng(seed + 5), rows)
+    assert_rows_bit_equal(model, prices)
+    assert_rows_bit_equal(generic_twin(model), prices)
+
+
+def test_stacked_margin_on_bundled_model(bundled_model):
+    rng = np.random.default_rng(6)
+    for rows in (1, 2, 47):
+        assert_rows_bit_equal(bundled_model, random_stack(bundled_model, rng, rows))
+
+
+@settings(max_examples=20, deadline=None)
+@given(SEEDS)
+def test_stacked_margin_validates_like_one_dimensional(seed):
+    model = make_model(seed)
+    n = model.periods
+    rng = np.random.default_rng(seed + 6)
+    for width in (n - 1, n + 1):
+        with pytest.raises(tl.DimensionMismatch) as one:
+            tl.phi_bar(model, np.ones(width))
+        with pytest.raises(tl.DimensionMismatch) as stacked:
+            tl.phi_bar(model, np.ones((3, width)))
+        assert str(stacked.value) == str(one.value)
+    with pytest.raises(tl.DimensionMismatch):
+        tl.phi_bar(model, np.ones((2, 3, n)))
+    for bad in (np.nan, np.inf):
+        prices = random_stack(model, rng, 3)
+        prices[1, rng.integers(n)] = bad
+        with pytest.raises(ValueError) as one:
+            tl.phi_bar(model, prices[1])
+        with pytest.raises(ValueError) as stacked:
+            tl.phi_bar(model, prices)
+        assert type(stacked.value) is type(one.value)
+        assert str(stacked.value) == str(one.value)
+
+
+def scalar_fd_hessian(f, pi, h_scale=1e-3):
+    """Reference: the four-point stencil evaluated one point per call."""
+    pi = np.asarray(pi, dtype=float)
+    n = pi.size
+    hs = np.array([h_scale * max(1.0, abs(pi[t])) for t in range(n)])
+    out = np.empty((n, n))
+    f0 = f(pi)
+    for i in range(n):
+        for j in range(i, n):
+            if i == j:
+                up = pi.copy()
+                dn = pi.copy()
+                up[i] += hs[i]
+                dn[i] -= hs[i]
+                out[i, i] = (f(up) - 2.0 * f0 + f(dn)) / hs[i] ** 2
+            else:
+                pp = pi.copy()
+                pm = pi.copy()
+                mp = pi.copy()
+                mm = pi.copy()
+                pp[i] += hs[i]
+                pp[j] += hs[j]
+                pm[i] += hs[i]
+                pm[j] -= hs[j]
+                mp[i] -= hs[i]
+                mp[j] += hs[j]
+                mm[i] -= hs[i]
+                mm[j] -= hs[j]
+                out[i, j] = out[j, i] = (f(pp) - f(pm) - f(mp) + f(mm)) / (
+                    4.0 * hs[i] * hs[j]
+                )
+    return out
+
+
+@pytest.mark.parametrize("periods", [3, 24, 96])
+def test_stacked_hessian_bit_equals_scalar_stencil(periods, bundled_model):
+    if periods == 24:
+        model = bundled_model
+    else:
+        model = random_linear_model(periods, periods=periods, scenarios=12)
+    rng = np.random.default_rng(periods)
+    pi = random_prices(model, rng)
+    calls = []
+
+    def f(p):
+        calls.append(p.shape)
+        return tl.phi_bar(model, p)
+
+    hess = fd_hessian(f, pi)
+    assert np.array_equal(hess, scalar_fd_hessian(lambda p: tl.phi_bar(model, p), pi))
+    # one call for the centre, one per stencil row
+    assert len(calls) <= periods + 1
+    assert all(len(shape) == 2 for shape in calls)

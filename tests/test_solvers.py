@@ -182,6 +182,35 @@ class TestMonopolyPrice:
         with pytest.raises(tl.NonConvergence):
             tl.monopoly_price(model, config)
 
+    @pytest.mark.parametrize("shift", [0.0, 1e-3, -1e-3, 0.5, -0.5])
+    def test_verification_matches_probe_loop(self, i2_model, shift):
+        class Shifted(tl.LinearDemandModel):
+            def satiation_price(self):
+                return super().satiation_price() + shift
+
+        def probes_pass(model, pim):
+            # reference: the probes one scalar margin at a time
+            base = tl.phi_bar(model, pim)
+            scale = max(1.0, abs(base))
+            for t in range(model.periods):
+                h = 1e-4 * max(1.0, abs(pim[t]))
+                for sign in (1.0, -1.0):
+                    probe = pim.copy()
+                    probe[t] += sign * h
+                    if tl.phi_bar(model, probe) > base + 1e-6 * scale:
+                        return False
+            return True
+
+        model = Shifted(G=i2_model.G, scenarios=i2_model.scenarios, customers=1)
+        pim = tl.monopoly_price(model, verify=False)
+        passes = probes_pass(model, pim)
+        assert passes == (abs(shift) < 0.5)
+        if passes:
+            np.testing.assert_array_equal(tl.monopoly_price(model), pim)
+        else:
+            with pytest.raises(tl.NonConvergence, match="local-maximum"):
+                tl.monopoly_price(model)
+
 
 class TestSolveFlatLinear:
     def test_f_zero_low_root(self, i2_model):
