@@ -6,8 +6,10 @@ differences: first derivatives use `model.central_difference` with
 h = 1e-5 * max(1, |pi_k|); second derivatives use the four-point stencil
 below with h = 1e-3 * max(1, |pi_k|) because the targets are exactly
 quadratic (no truncation error) and the larger step suppresses cancellation
-noise at utility scale. The stencil's function takes a (K, N) stack of price
-vectors, as `phi_bar` does, and is called once per stencil row.
+noise at utility scale. The checks give both a function of a (K, N) stack
+of price vectors, as `phi_bar` and `consumer_surplus_gain` are, so a
+gradient is one call on its 2N points and a Hessian one call per stencil
+row.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import (
     LinearDemandModel,
     Tariff,
     central_difference,
+    consumer_surplus_gain,
     expected_demand,
     phi_bar,
     welfare_gains,
@@ -108,11 +111,9 @@ def check_gradient_identity(
     """FD gradient of the consumer-surplus gain must equal -E[D(pi)]."""
     worst = 0.0
     for pi in _sample_prices(model, count, seed):
-        def cs_gain(p):
-            tariff = Tariff(connection_charge=0.0, prices=p, family="two-part-optimal")
-            return welfare_gains(model, tariff, baseline).delta_cs
-
-        grad = fd_gradient(cs_gain, pi)
+        grad = fd_gradient(
+            lambda p: consumer_surplus_gain(model, p, baseline), pi, stacked=True
+        )
         dbar = expected_demand(model, pi)
         scale = max(1.0, float(np.abs(dbar).max()))
         worst = max(worst, float(np.abs(grad + dbar).max()) / scale)
@@ -182,7 +183,7 @@ BAND_LADDER = (0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.0)
 
 def rs_cell_scale(model: DemandModel, pi: np.ndarray, step: float) -> float:
     """rs variation across one grid step at pi (sets the band scale)."""
-    grad = fd_gradient(lambda p: phi_bar(model, p), pi)
+    grad = fd_gradient(lambda p: phi_bar(model, p), pi, stacked=True)
     return max(float(np.abs(grad).max()) * step, 1e-12)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,14 +98,14 @@ class RevenueBaseline:
     net: float
 
 
-def _read_utf8(path: Path, error) -> str:
-    """The file's text, newlines untranslated; a byte that is not UTF-8
-    raises `error(line, reason)` with the 1-based line it sits on."""
-    data = path.read_bytes()
+def _decode(data: bytes, error, first_line: int = 1) -> str:
+    """`data` as text, newlines untranslated; a byte that is not UTF-8 raises
+    `error(line, reason)` with the 1-based line it sits on, counting `data`
+    as starting on `first_line`."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = first_line + data.count(b"\n", 0, exc.start)
         raise error(
             line, f"not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})"
         ) from None
@@ -117,79 +118,64 @@ def parse_csv(path, kind: str) -> RawSeries:
     every day must carry exactly the hours 0..N-1 where N is the largest
     hour seen. The file must be UTF-8. Errors carry the 1-based line number.
 
-    A clean file is parsed whole with numpy (`_parse_dense`); anything else,
-    every error included, goes through the row-by-row reader `_parse_rows`.
-    Both give the same RawSeries on a file both accept.
+    A clean file is read by numpy's C reader straight from its bytes
+    (`_parse_dense`); anything else, every error included, goes through the
+    row-by-row reader `_parse_rows`. Both give the same RawSeries on a file
+    both accept.
     """
     if kind not in SERIES_KINDS:
         raise ValueError(f"kind must be one of {SERIES_KINDS}, got {kind!r}")
     path = Path(path)
-    series = _parse_dense(_read_utf8(path, MalformedRow), kind)
-    return series if series is not None else _parse_rows(path, kind)
+    data = path.read_bytes()
+    series = _parse_dense(data, kind)
+    if series is None:
+        _decode(data, MalformedRow)  # locate a byte that is not UTF-8 first
+        series = _parse_rows(path, kind)
+    return series
 
 
-_HEADER = "day,hour,value\n"
+_HEADER = b"day,hour,value\n"
 # the bytes a clean file's rows are made of: digits, separators and the
 # number syntax float() reads; quotes, CR, spaces, NUL, nan/inf and
 # anything not ASCII are left to the row-by-row reader
 _CLEAN_BYTES = b"0123456789,\n.eE+-"
-# labels of up to 18 digits are exact in int64
-_LABEL_DIGITS = 18
+# what is left of a clean file once its clean bytes are deleted
+_HEADER_RESIDUE = _HEADER.translate(None, _CLEAN_BYTES)
+_ROW_DTYPE = np.dtype([("day", np.int64), ("hour", np.int64), ("value", np.float64)])
 
 
-def _parse_dense(text: str, kind: str) -> RawSeries | None:
-    """Whole-file parse of a clean CSV, or None to leave the file to `_parse_rows`.
+def _parse_dense(data: bytes, kind: str) -> RawSeries | None:
+    """Parse of a clean CSV's bytes, or None to leave the file to `_parse_rows`.
 
-    Clean means the exact header, then `digits,digits,number` rows ended by
-    a newline (the last one may lack it) that cover hours 0..N-1 of every
-    day exactly once, with finite values and, for load, none negative.
-    Values go through float() as in the row reader, so the result is the
-    same bit for bit.
+    Clean means the exact header, then `day,hour,value` rows of clean bytes
+    (blank lines are skipped, as the row reader skips them) whose labels are
+    int64 integers that cover hours 0..N-1 of every day exactly once, with
+    finite values and, for load, none negative. Labels and values are read
+    as int() and float() read them, so the result is the same bit for bit.
     """
-    if not text.startswith(_HEADER):
+    if not data.startswith(_HEADER):
         return None
-    raw = text[len(_HEADER):].encode()
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
-    if raw.translate(None, _CLEAN_BYTES):
+    if data.translate(None, _CLEAN_BYTES) != _HEADER_RESIDUE:
         return None
-    b = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
-    rows = ends.size // 3
-    if ends.size % 3 or not (b[ends].reshape(rows, 3) == list(b",,\n")).all():
+    # nothing but newlines after the header: no rows (and loadtxt would warn)
+    if data.count(b"\n", len(_HEADER)) == len(data) - len(_HEADER):
         return None
-    widths = np.diff(ends, prepend=-1) - 1
-    if not (widths > 0).all():
-        return None
-
-    labels = []
-    for column in (0, 1):
-        width = widths[column::3]
-        if width.max() > _LABEL_DIGITS:
-            return None
-        start = ends[column::3] - width
-        # one pass per digit position, most significant first
-        label = np.zeros(rows, np.int64)
-        for k in range(width.max()):
-            live = k < width
-            digit = b[np.where(live, start + k, start)] - np.uint8(ord("0"))
-            if (digit[live] > 9).any():
-                return None
-            label = np.where(live, label * 10 + digit, label)
-        labels.append(label)
-    day, hour = labels
-
-    in_value = np.repeat(np.tile([False, False, True], rows), widths + 1)
     try:
-        values = np.fromiter(map(float, b[in_value].tobytes().split()), float, rows)
+        rows = np.loadtxt(
+            io.BytesIO(data), dtype=_ROW_DTYPE, delimiter=",", comments=None,
+            skiprows=1, ndmin=1,
+        )
     except ValueError:
         return None
+    day, hour, values = rows["day"], rows["hour"], rows["value"]
     if not np.isfinite(values).all() or (kind == "load" and (values < 0).any()):
+        return None
+    if hour.min() < 0:  # the row reader names the line
         return None
 
     order = np.lexsort((hour, day))
     periods = int(hour.max()) + 1
-    if rows % periods:
+    if rows.size % periods:
         return None
     day = day[order].reshape(-1, periods)
     hour = hour[order].reshape(-1, periods)
@@ -421,6 +407,27 @@ def _fmt_vector(v: np.ndarray) -> str:
     return " ".join(map(repr, np.asarray(v, dtype=float).ravel().tolist()))
 
 
+def _model_file_lines(model: LinearDemandModel, baseline, provenance):
+    ss = model.scenarios
+    yield f"format = {MODEL_FORMAT}"
+    yield f"periods = {model.periods}"
+    yield f"customers = {model.customers}"
+    yield f"g = {_fmt_vector(model.G)}"
+    yield f"lambda_bar = {_fmt_vector(ss.lambda_bar)}"
+    yield f"omega_bar = {_fmt_vector(ss.omega_bar)}"
+    yield f"sigma_lambda_omega = {_fmt_vector(ss.sigma_lambda_omega)}"
+    yield "sigma_convention = population-ddof0"
+    yield f"scenario_count = {ss.n_scenarios}"
+    for j in range(ss.n_scenarios):
+        yield f"scenario.{j}.lambda = {_fmt_vector(ss.lams[j])}"
+        yield f"scenario.{j}.omega = {_fmt_vector(ss.omegas[j])}"
+    if baseline is not None:
+        yield f"baseline.flat_rate = {baseline.flat_rate!r}"
+        yield f"baseline.connection_charge = {baseline.connection_charge!r}"
+    for key, value in provenance.items():
+        yield f"provenance.{key} = {value}"
+
+
 def write_model_file(
     path,
     model: LinearDemandModel,
@@ -428,29 +435,18 @@ def write_model_file(
     baseline: CalibrationConfig | None = None,
     provenance: dict[str, str] | None = None,
 ) -> None:
-    ss = model.scenarios
-    lines = [
-        f"format = {MODEL_FORMAT}",
-        f"periods = {model.periods}",
-        f"customers = {model.customers}",
-        f"g = {_fmt_vector(model.G)}",
-        f"lambda_bar = {_fmt_vector(ss.lambda_bar)}",
-        f"omega_bar = {_fmt_vector(ss.omega_bar)}",
-        f"sigma_lambda_omega = {_fmt_vector(ss.sigma_lambda_omega)}",
-        "sigma_convention = population-ddof0",
-        f"scenario_count = {ss.n_scenarios}",
-    ]
-    for j in range(ss.n_scenarios):
-        lines.append(f"scenario.{j}.lambda = {_fmt_vector(ss.lams[j])}")
-        lines.append(f"scenario.{j}.omega = {_fmt_vector(ss.omegas[j])}")
-    if baseline is not None:
-        lines.append(f"baseline.flat_rate = {baseline.flat_rate!r}")
-        lines.append(f"baseline.connection_charge = {baseline.connection_charge!r}")
-    for key, value in (provenance or {}).items():
-        if "\n" in str(value):
-            raise ValueError("provenance values must be single-line")
-        lines.append(f"provenance.{key} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the model file one line at a time.
+
+    A provenance value that is not single-line raises ValueError before the
+    file is opened, so it leaves no file and truncates no existing one.
+    """
+    provenance = provenance or {}
+    # every line break str.splitlines() knows, since the reader splits on all
+    if any("".join(str(v).splitlines()) != str(v) for v in provenance.values()):
+        raise ValueError("provenance values must be single-line")
+    lines = _model_file_lines(model, baseline, provenance)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def model_payload_text(path) -> str:
@@ -463,48 +459,88 @@ def model_payload_text(path) -> str:
     return "\n".join(keep) + "\n"
 
 
-def _parse_floats(path, line_no: int, text: str, expect: int, what: str) -> np.ndarray:
+def _floats(text: str) -> tuple[int, np.ndarray | None]:
+    """How many whitespace-separated fields `text` has, and their float
+    values (None if one is not a number); `_checked` judges the result."""
     parts = text.split()
-    if len(parts) != expect:
-        raise ModelFileError(
-            path, line_no, f"{what}: expected {expect} values, got {len(parts)}"
-        )
     try:
-        out = np.array([float(p) for p in parts])
+        return len(parts), np.fromiter(map(float, parts), float, len(parts))
     except ValueError:
-        raise ModelFileError(path, line_no, f"{what}: non-numeric value") from None
-    if not np.isfinite(out).all():
+        return len(parts), None
+
+
+def _checked(path, line_no: int, floats, expect: int, what: str) -> np.ndarray:
+    count, values = floats
+    if count != expect:
+        raise ModelFileError(
+            path, line_no, f"{what}: expected {expect} values, got {count}"
+        )
+    if values is None:
+        raise ModelFileError(path, line_no, f"{what}: non-numeric value")
+    if not np.isfinite(values).all():
         raise ModelFileError(path, line_no, f"{what}: non-finite value")
-    return out
+    return values
+
+
+def _model_lines(path: Path):
+    """(line number, line) of a model file, numbered as `str.splitlines`
+    numbers them, read one newline-ended chunk at a time.
+
+    A chunk ends at a newline, which no UTF-8 sequence spans, so decoding
+    chunk by chunk finds the byte a whole-file decode would; its error is
+    raised as soon as the chunk is read.
+    """
+    line_no = 0
+    with path.open("rb") as fh:
+        for chunk_no, chunk in enumerate(fh, start=1):
+            text = _decode(
+                chunk, lambda line, reason: ModelFileError(path, line, reason), chunk_no
+            )
+            for line in text.splitlines():
+                line_no += 1
+                yield line_no, line
 
 
 def read_model_file(path) -> ModelFilePayload:
-    """Parse a model file into its raw payload.
+    """Parse a model file into its raw payload, in one pass over its lines.
 
     Structural problems (missing keys, wrong counts, non-finite numbers,
     inconsistent stored moments) raise ModelFileError with file/line context.
     Semantic conditions on G (symmetry, positive definiteness) are *not*
     enforced here; `to_model` applies them, and the check command reports
     them as named diagnostics.
+
+    Scenario rows are converted to floats as they are read and judged once
+    the header keys are known. A byte that is not UTF-8 is reported before
+    any other error, so a line error is held until the whole file is read.
     """
     path = Path(path)
     entries: dict[str, tuple[int, str]] = {}
+    scenario_rows: dict[str, tuple[int, tuple[int, np.ndarray | None]]] = {}
     provenance: dict[str, str] = {}
-    text = _read_utf8(path, lambda line, reason: ModelFileError(path, line, reason))
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    line_error = None
+    for line_no, raw in _model_lines(path):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line_error or not line or line.startswith("#"):
             continue
         key, sep, value = line.partition(" = ")
         if not sep:
-            raise ModelFileError(path, line_no, f"expected 'key = value', got {raw!r}")
+            line_error = ModelFileError(
+                path, line_no, f"expected 'key = value', got {raw!r}"
+            )
+            continue
         key = key.strip()
         if key.startswith("provenance."):
             provenance[key[len("provenance."):]] = value
             continue
-        if key in entries:
-            raise ModelFileError(path, line_no, f"duplicate key {key!r}")
-        entries[key] = (line_no, value.strip())
+        if key in entries or key in scenario_rows:
+            line_error = ModelFileError(path, line_no, f"duplicate key {key!r}")
+        elif key.startswith("scenario."):
+            scenario_rows[key] = (line_no, _floats(value))
+        else:
+            entries[key] = (line_no, value.strip())
+    if line_error:
+        raise line_error
 
     def need(key: str) -> tuple[int, str]:
         if key not in entries:
@@ -531,22 +567,22 @@ def read_model_file(path) -> ModelFilePayload:
         raise ModelFileError(path, entries["scenario_count"][0], "need scenarios")
 
     line_no, text = need("g")
-    G = _parse_floats(path, line_no, text, periods * periods, "g").reshape(
+    G = _checked(path, line_no, _floats(text), periods * periods, "g").reshape(
         periods, periods
     )
-    # rows come from the parsed entries, so a scenario_count larger than the
+    # rows come from the file's entries, so a scenario_count larger than the
     # file stops at the first missing key instead of allocating up front
     rows: dict[str, list[np.ndarray]] = {"lambda": [], "omega": []}
     for j in range(count):
         for kind, out in rows.items():
             key = f"scenario.{j}.{kind}"
-            if key not in entries:
+            if key not in scenario_rows:
                 raise ModelFileError(
                     path, entries["scenario_count"][0],
                     f"scenario_count is {count} but {key!r} is missing",
                 )
-            line_no, text = entries[key]
-            out.append(_parse_floats(path, line_no, text, periods, key))
+            line_no, floats = scenario_rows[key]
+            out.append(_checked(path, line_no, floats, periods, key))
     lams, omegas = np.array(rows["lambda"]), np.array(rows["omega"])
 
     # stored moments are derived; verify them against the scenarios so silent
@@ -557,13 +593,13 @@ def read_model_file(path) -> ModelFilePayload:
         ("omega_bar", omega_bar, periods),
     ):
         line_no, text = need(key)
-        stored = _parse_floats(path, line_no, text, expect_n, key)
+        stored = _checked(path, line_no, _floats(text), expect_n, key)
         scale = max(1.0, float(np.abs(expect_vals).max()))
         if float(np.abs(stored - expect_vals).max()) > 1e-9 * scale:
             raise ModelFileError(path, line_no, f"{key} disagrees with scenarios")
     line_no, text = need("sigma_lambda_omega")
-    stored_sigma = _parse_floats(
-        path, line_no, text, periods * periods, "sigma_lambda_omega"
+    stored_sigma = _checked(
+        path, line_no, _floats(text), periods * periods, "sigma_lambda_omega"
     ).reshape(periods, periods)
     scale = max(1.0, float(np.abs(sigma).max()))
     if float(np.abs(stored_sigma - sigma).max()) > 1e-9 * scale:
@@ -573,11 +609,13 @@ def read_model_file(path) -> ModelFilePayload:
     charge = None
     if "baseline.flat_rate" in entries:
         line_no, text = entries["baseline.flat_rate"]
-        flat_rate = float(_parse_floats(path, line_no, text, 1, "baseline.flat_rate")[0])
+        flat_rate = float(
+            _checked(path, line_no, _floats(text), 1, "baseline.flat_rate")[0]
+        )
     if "baseline.connection_charge" in entries:
         line_no, text = entries["baseline.connection_charge"]
         charge = float(
-            _parse_floats(path, line_no, text, 1, "baseline.connection_charge")[0]
+            _checked(path, line_no, _floats(text), 1, "baseline.connection_charge")[0]
         )
 
     return ModelFilePayload(
@@ -593,7 +631,11 @@ def read_model_file(path) -> ModelFilePayload:
 
 
 def file_digest(path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return "sha256:" + digest.hexdigest()
 
 
 def fit_provenance(

@@ -29,22 +29,25 @@ TARIFF_FAMILIES = (
 _SYMMETRY_TOL = 1e-12
 
 
-def central_difference(f, pi, h_scale: float = 1e-5) -> np.ndarray:
+def central_difference(
+    f, pi, h_scale: float = 1e-5, *, stacked: bool = False
+) -> np.ndarray:
     """Central-difference derivative of f at pi, one column per coordinate.
 
     The step is h_scale * max(1, |pi_t|), the package-wide finite-difference
     convention. Scalar f gives the gradient; vector f gives the Jacobian.
+    f is called on each point pi + h_t e_t, then each pi - h_t e_t; with
+    `stacked` it is called once, on the (2N, N) stack of those points.
     """
     pi = np.asarray(pi, dtype=float)
-    columns = []
-    for t in range(pi.size):
-        h = h_scale * max(1.0, abs(pi[t]))
-        up = pi.copy()
-        dn = pi.copy()
-        up[t] += h
-        dn[t] -= h
-        columns.append((f(up) - f(dn)) / (2.0 * h))
-    return np.stack(columns, axis=-1)
+    n = pi.size
+    h = h_scale * np.maximum(1.0, np.abs(pi))
+    points = np.repeat(pi[np.newaxis], 2 * n, axis=0)
+    points[np.arange(n), np.arange(n)] += h
+    points[np.arange(n, 2 * n), np.arange(n)] -= h
+    values = f(points) if stacked else np.array([f(p) for p in points])
+    steps = np.reshape(2.0 * h, (n,) + (1,) * (values.ndim - 1))
+    return np.moveaxis((values[:n] - values[n:]) / steps, 0, -1)
 
 
 def scenario_moments(lams, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -390,16 +393,33 @@ def retailer_surplus(model: DemandModel, tariff: Tariff) -> float:
     return phi_bar(model, tariff.prices) + model.customers * tariff.connection_charge
 
 
-def _cs_term(model: LinearDemandModel, tariff: Tariff) -> float:
-    # Consumer surplus up to the benefit offset E[delta(omega)], which is
-    # unknown and cancels in gains.
-    pi = _as_price_vector(model, tariff.prices)
-    quad = 0.5 * float(pi @ model.G @ pi)
-    return (
-        quad
-        - float(pi @ model.scenarios.omega_bar)
-        - model.customers * tariff.connection_charge
-    )
+def _cs_term(
+    model: LinearDemandModel, prices: np.ndarray, connection_charge: float = 0.0
+):
+    """Consumer surplus up to the benefit offset E[delta(omega)], which is
+    unknown and cancels in gains: pi' G pi / 2 - pi' omega_bar - M A.
+
+    `prices` is one validated price vector or a (K, N) stack. Row-wise
+    products, as in `LinearDemandModel.expected_margin`, give each row the
+    bits it gets alone.
+    """
+    row = prices[..., np.newaxis, :]
+    quad = np.matmul(np.matmul(row, model.G), row.swapaxes(-1, -2))[..., 0, 0]
+    linear = np.matmul(row, model._omega_column)[..., 0, 0]
+    return (0.5 * quad - linear)[()] - model.customers * connection_charge
+
+
+def consumer_surplus_gain(model: LinearDemandModel, pi, baseline: Tariff):
+    """Consumer-surplus gain of charging pi with no connection charge over
+    `baseline`, $/cycle.
+
+    `pi` is one price vector, giving a float, or a (K, N) stack of them,
+    giving K gains; each is bit-equal to `welfare_gains(...).delta_cs`.
+    """
+    prices = _as_price_vector(model, pi, stack=True)
+    base = _cs_term(model, baseline.prices, baseline.connection_charge)
+    gains = _cs_term(model, prices) - base
+    return float(gains) if prices.ndim == 1 else gains
 
 
 def welfare_gains(
@@ -418,7 +438,10 @@ def welfare_gains(
                 f"tariff has {t.periods} periods, model has {model.periods}"
             )
     rs_tariff = retailer_surplus(model, tariff)
-    delta_cs = _cs_term(model, tariff) - _cs_term(model, baseline)
+    delta_cs = float(
+        _cs_term(model, tariff.prices, tariff.connection_charge)
+        - _cs_term(model, baseline.prices, baseline.connection_charge)
+    )
     delta_rs = rs_tariff - retailer_surplus(model, baseline)
     return WelfareReport(
         baseline=baseline,

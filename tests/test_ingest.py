@@ -1,10 +1,14 @@
 """CSV parsing, moment estimation, calibration, and model-file round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_model_reader
 import tarifflab as tl
+from conftest import random_linear_model
 from tarifflab.ingest import (
     _fmt_vector,
     _parse_dense,
@@ -13,6 +17,7 @@ from tarifflab.ingest import (
     model_payload_text,
     toeplitz_kernel,
 )
+from tarifflab.synthetic import write_synthetic_csvs
 
 
 def write_csv(path, rows, header="day,hour,value"):
@@ -105,6 +110,15 @@ class TestParseCsv:
         np.testing.assert_allclose(series.values[0], [3.0, 4.0])
 
 
+    @pytest.mark.parametrize("rows", [["0,-1,1.0"], ["0,-3,1.0", "1,-3,2.0"]])
+    def test_negative_hour(self, tmp_path, rows):
+        # every hour negative: the clean-file parser must not take the
+        # largest hour plus one as the period count
+        path = write_csv(tmp_path / "x.csv", rows)
+        with pytest.raises(tl.MalformedRow, match="hour must be nonnegative") as exc_info:
+            tl.parse_csv(path, "load")
+        assert exc_info.value.line == 2
+
     def test_not_utf8_reports_line(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_bytes(b"day,hour,value\n0,0,1.0\n0,1,\xff2.0\n")
@@ -116,7 +130,7 @@ class TestParseCsv:
         from tarifflab.synthetic import bundled_dataset_paths
 
         for path, kind in zip(bundled_dataset_paths(), ("load", "price")):
-            fast = _parse_dense(path.read_text(encoding="utf-8"), kind)
+            fast = _parse_dense(path.read_bytes(), kind)
             assert fast is not None
             rows = _parse_rows(path, kind)
             assert fast.values.tobytes() == rows.values.tobytes()
@@ -128,6 +142,7 @@ class TestParseCsv:
 MUTATIONS = (
     "none", "shuffle", "drop", "duplicate", "crlf", "quote", "blank", "pad",
     "non-finite", "negative", "bad-label", "long-label", "no-final-newline",
+    "no-rows",
 )
 
 
@@ -170,11 +185,15 @@ def mutated_csvs(draw):
     elif mutation == "negative":
         rows[i][2] = "-" + rows[i][2].lstrip("+-")
     elif mutation == "bad-label":
-        rows[i][0] = draw(st.sampled_from(["x", "1.0", "-3", "+2", "1e3", "", "\u0663"]))
+        rows[i][draw(st.integers(0, 1))] = draw(
+            st.sampled_from(["x", "1.0", "-3", "+2", "-0", "1e3", "", "\u0663"])
+        )
     elif mutation == "long-label":
         rows[i][0] = "1" * draw(st.integers(18, 25))
     elif mutation == "no-final-newline":
         final = ""
+    elif mutation == "no-rows":
+        rows = [[]] * draw(st.integers(0, 2))
     lines = ["day,hour,value"] + [",".join(row) for row in rows]
     return kind, newline.join(lines) + final
 
@@ -470,6 +489,22 @@ class TestModelFile:
         assert exc_info.value.line == 4
         assert str(exc_info.value).startswith(f"{path}:4: ")
 
+    @pytest.mark.parametrize("first", ["customers 1", "periods = 2"])
+    def test_not_utf8_reported_before_an_earlier_line_error(
+        self, tmp_path, i2_model, first
+    ):
+        # a missing ` = ` (or a duplicate key) on line 2 is held back: the
+        # whole-file decode reported the bad byte first
+        path = tmp_path / "model.tlm"
+        tl.write_model_file(path, i2_model)
+        lines = path.read_bytes().split(b"\n")
+        lines.insert(1, first.encode())
+        lines[-2] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(tl.ModelFileError, match="not UTF-8: byte 0xff") as exc_info:
+            tl.read_model_file(path)
+        assert exc_info.value.line == len(lines) - 1
+
     def test_file_bytes_match_reference_formatter(self, tmp_path):
         # the writer's numbers are exactly what repr(float(x)) gives, x by x
         rng = np.random.default_rng(5)
@@ -502,6 +537,21 @@ class TestModelFile:
         assert prov["load_digest"].startswith("sha256:")
         assert prov["created"] == "t0"
 
+    @pytest.mark.parametrize("value", ["two\nlines", "cr\rend", "form\x0cfeed", "ls\u2028x"])
+    def test_multi_line_provenance_leaves_no_file(self, tmp_path, i2_model, value):
+        path = tmp_path / "model.tlm"
+        with pytest.raises(ValueError, match="provenance values must be single-line"):
+            tl.write_model_file(path, i2_model, provenance={"note": value})
+        assert not path.exists()
+
+    def test_multi_line_provenance_keeps_existing_model(self, tmp_path, i2_model):
+        path = tmp_path / "model.tlm"
+        tl.write_model_file(path, i2_model, provenance={"created": "t0"})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="provenance values must be single-line"):
+            tl.write_model_file(path, i2_model, provenance={"created": "t1\nt2"})
+        assert path.read_bytes() == before
+
 
 def _reference_fmt(v) -> str:
     return " ".join(repr(float(x)) for x in np.asarray(v).ravel())
@@ -511,3 +561,171 @@ def _reference_fmt(v) -> str:
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
 def test_vector_format_matches_reference(xs):
     assert _fmt_vector(np.array(xs, dtype=float)) == _reference_fmt(xs)
+
+
+# --- model files: the one-pass reader against the whole-file reference -----
+
+# the line ends str.splitlines() knows besides "\n" and "\r\n"
+LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+MODEL_MUTATIONS = (
+    "none", "reorder", "duplicate", "drop", "crlf", "break", "not-utf8",
+    "no-separator", "non-numeric", "non-finite", "short-row", "count-beyond",
+    "comment", "pad",
+)
+VALUE_KEYS = (
+    "g ", "lambda_bar ", "omega_bar ", "sigma_lambda_omega ", "scenario.", "baseline.",
+)
+# lone bytes and sequences that are not UTF-8 (a cut 3-byte one, a surrogate)
+BAD_UTF8 = (b"\xff", b"\xe9", b"\xc3", b"\xe2\x82", b"\x80", b"\xed\xa0\x80")
+
+
+def _mutate_model_lines(draw, records):
+    """Apply one drawn mutation to the [text, line end, bad bytes] records."""
+    mutation = draw(st.sampled_from(MODEL_MUTATIONS))
+    i = draw(st.integers(0, len(records) - 1))
+    text = records[i][0]
+    rows = [
+        r for r in records
+        if r[0].startswith(VALUE_KEYS) and r[0].partition(" = ")[2].split()
+    ]
+    if mutation == "reorder":
+        records[:] = draw(st.permutations(records))
+    elif mutation == "duplicate":
+        records.insert(draw(st.integers(0, len(records))), list(records[i]))
+    elif mutation == "drop" and len(records) > 1:
+        del records[i]
+    elif mutation == "crlf":
+        for record in records:
+            record[1] = "\r\n"
+    elif mutation == "break":
+        brk = draw(st.sampled_from(LINE_BREAKS))
+        if draw(st.booleans()):
+            records[i][1] = brk
+        else:
+            k = draw(st.integers(0, len(text)))
+            records[i][0] = text[:k] + brk + text[k:]
+    elif mutation == "not-utf8":
+        scenario = [r for r in records if r[0].startswith("scenario.")]
+        record = draw(st.sampled_from(scenario or records))
+        record[2] = (draw(st.integers(0, len(record[0]))), draw(st.sampled_from(BAD_UTF8)))
+    elif mutation == "no-separator":
+        sep = draw(st.sampled_from(["=", " =", "= ", " : ", ""]))
+        records[i][0] = text.replace(" = ", sep, 1)
+    elif mutation in ("non-numeric", "non-finite", "short-row") and rows:
+        record = draw(st.sampled_from(rows))
+        key, _, value = record[0].partition(" = ")
+        values = value.split()
+        k = draw(st.integers(0, len(values) - 1))
+        if mutation == "short-row":
+            del values[k]
+        elif mutation == "non-numeric":
+            values[k] = draw(st.sampled_from(["x", "1..2", "0x1", "--1", "1e", "\u0661"]))
+        else:
+            values[k] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999"]))
+        record[0] = f"{key} = {' '.join(values)}"
+    elif mutation == "count-beyond":
+        for record in records:
+            key, _, count = record[0].partition(" = ")
+            if key == "scenario_count" and count.isdigit():
+                extra = draw(st.sampled_from([1, 2, 10**13]))
+                record[0] = f"scenario_count = {int(count) + extra}"
+    elif mutation == "comment":
+        records.insert(i, [draw(st.sampled_from(["", "# note", "   "])), "\n", None])
+    elif mutation == "pad":
+        records[i][0] = f" \t{text}  "
+
+
+def _encode_records(records) -> bytes:
+    out = []
+    for text, end, bad in records:
+        if bad is None:
+            out.append((text + end).encode("utf-8"))
+        else:
+            k, seq = bad
+            out.append(text[:k].encode("utf-8") + seq + (text[k:] + end).encode("utf-8"))
+    return b"".join(out)
+
+
+def _model_outcome(read, path):
+    try:
+        p = read(path)
+    except tl.TariffLabError as exc:
+        return type(exc), exc.line, str(exc)
+    return (
+        p.periods, p.customers, p.G.shape, p.G.tobytes(), p.lams.shape,
+        p.lams.tobytes(), p.omegas.tobytes(), repr(p.baseline_flat_rate),
+        repr(p.baseline_connection_charge), p.provenance,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_model_reader_agrees_with_whole_file_reader(tmp_path_factory, data):
+    draw = data.draw
+    model = random_linear_model(
+        draw(st.integers(0, 2**32 - 1)),
+        periods=draw(st.integers(1, 3)),
+        scenarios=draw(st.integers(1, 4)),
+    )
+    baseline = draw(st.sampled_from([None, tl.CalibrationConfig(connection_charge=0.25)]))
+    path = tmp_path_factory.getbasetemp() / "mutated.tlm"
+    tl.write_model_file(
+        path, model, baseline=baseline, provenance={"command": "fuzz", "created": "t0"}
+    )
+    records = [[line, "\n", None] for line in path.read_text(encoding="utf-8").splitlines()]
+    for _ in range(draw(st.integers(1, 2))):
+        _mutate_model_lines(draw, records)
+    path.write_bytes(_encode_records(records))
+    assert _model_outcome(tl.read_model_file, path) == _model_outcome(
+        reference_model_reader.read_model_file, path
+    )
+
+
+# --- bounded memory: peak traced allocation against the file's size ---------
+
+
+def _peak_traced(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def dataset_500x96(tmp_path_factory):
+    """A 500-day, 96-period dataset, its calibrated model and model file."""
+    out = tmp_path_factory.mktemp("dataset_500x96")
+    load, prices = write_synthetic_csvs(out, days=500, periods=96, seed=3)
+    config = tl.CalibrationConfig()
+    scenarios = tl.estimate_moments(tl.parse_csv(load, "load"), tl.parse_csv(prices, "price"))
+    model = tl.calibrate_demand(scenarios, config)
+    model_path = out / "model.tlm"
+    tl.write_model_file(model_path, model, baseline=config, provenance={"created": "t0"})
+    return load, model, config, model_path
+
+
+class TestBoundedMemory:
+    """Each file path holds a small multiple of its file at most: one copy
+    of the CSV's bytes plus its parsed rows, the model file's numbers, no
+    whole-file text, line list or joined output."""
+
+    def test_parse_csv(self, dataset_500x96):
+        load = dataset_500x96[0]
+        peak = _peak_traced(tl.parse_csv, load, "load")
+        assert peak <= 4 * load.stat().st_size
+
+    def test_write_model_file(self, tmp_path, dataset_500x96):
+        _, model, config, model_path = dataset_500x96
+        out = tmp_path / "model.tlm"
+        peak = _peak_traced(
+            tl.write_model_file, out, model, baseline=config, provenance={"created": "t0"}
+        )
+        assert out.read_bytes() == model_path.read_bytes()
+        assert peak <= model_path.stat().st_size
+
+    def test_read_model_file(self, dataset_500x96):
+        model_path = dataset_500x96[3]
+        peak = _peak_traced(tl.read_model_file, model_path)
+        assert peak <= 2 * model_path.stat().st_size
