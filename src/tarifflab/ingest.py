@@ -134,13 +134,14 @@ def parse_csv(path, kind: str) -> RawSeries:
     return series
 
 
-_HEADER = b"day,hour,value\n"
-# the bytes a clean file's rows are made of: digits, separators and the
-# number syntax float() reads; quotes, CR, spaces, NUL, nan/inf and
+# a clean file's header, with LF or CRLF line ends
+_HEADERS = (b"day,hour,value\n", b"day,hour,value\r\n")
+# the bytes a clean file's rows are made of: digits, separators, line ends
+# and the number syntax float() reads; quotes, spaces, NUL, nan/inf and
 # anything not ASCII are left to the row-by-row reader
-_CLEAN_BYTES = b"0123456789,\n.eE+-"
+_CLEAN_BYTES = b"0123456789,\r\n.eE+-"
 # what is left of a clean file once its clean bytes are deleted
-_HEADER_RESIDUE = _HEADER.translate(None, _CLEAN_BYTES)
+_HEADER_RESIDUE = _HEADERS[0].translate(None, _CLEAN_BYTES)
 _ROW_DTYPE = np.dtype([("day", np.int64), ("hour", np.int64), ("value", np.float64)])
 
 
@@ -148,17 +149,21 @@ def _parse_dense(data: bytes, kind: str) -> RawSeries | None:
     """Parse of a clean CSV's bytes, or None to leave the file to `_parse_rows`.
 
     Clean means the exact header, then `day,hour,value` rows of clean bytes
-    (blank lines are skipped, as the row reader skips them) whose labels are
+    ending in LF or CRLF (blank lines are skipped, as the row reader skips
+    them; a CR that does not end a line leaves the file to it) whose labels are
     int64 integers that cover hours 0..N-1 of every day exactly once, with
     finite values and, for load, none negative. Labels and values are read
     as int() and float() read them, so the result is the same bit for bit.
     """
-    if not data.startswith(_HEADER):
+    if not data.startswith(_HEADERS):
         return None
     if data.translate(None, _CLEAN_BYTES) != _HEADER_RESIDUE:
         return None
-    # nothing but newlines after the header: no rows (and loadtxt would warn)
-    if data.count(b"\n", len(_HEADER)) == len(data) - len(_HEADER):
+    if data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    # nothing but line ends after the header: no rows (and loadtxt would warn)
+    start = data.index(b"\n") + 1
+    if data.count(b"\n", start) + data.count(b"\r", start) == len(data) - start:
         return None
     try:
         rows = np.loadtxt(

@@ -2,15 +2,21 @@
 
 Two-part tariffs price at a fixed point of the markup condition, with the
 connection charge absorbing the gap to the revenue target. Linear
-(volumetric-only) tariffs solve a Ramsey problem: an outer scalar bisection
-on the markup intensity against the revenue target, with an inner damped
-fixed point on the price vector. Flat-rate variants run the same machinery
+(volumetric-only) tariffs solve a Ramsey problem: the markup intensity whose
+prices collect the revenue target. Flat-rate variants solve the same problem
 on the diagonal.
 
-The model's type picks the path: a `LinearDemandModel` (deterministic price
-response) takes the closed forms, in which the two-part markup vanishes and
-the Ramsey and monopoly prices lie on the segment from the expected
-wholesale price to the satiation price; any other `DemandModel` iterates.
+The model's type picks the path. A `LinearDemandModel` (deterministic price
+response) takes the closed forms: the two-part markup vanishes, the Ramsey
+and monopoly prices lie on the ray from the expected wholesale price to the
+satiation price, where the margin is a scalar quadratic in the markup, and
+each flat rate is the low root of another scalar quadratic. The `*_batch`
+functions evaluate them over a whole vector of targets at once; a
+one-target solve is a batch of one, so both give the same bits. Any other
+`DemandModel` iterates: an outer bisection of the markup intensity against
+the target around an inner damped fixed point on the price vector, and a
+bracket walk with bisection (after a ternary search for the peak) for flat
+rates. Every path ends with the same revenue band check.
 """
 
 from __future__ import annotations
@@ -46,11 +52,14 @@ _COND_LIMIT = 1e13
 class SolverConfig:
     """Knobs for the fixed-point and bisection solvers.
 
-    `rs_tol` is relative: the bisection accepts |rs - F| <= rs_tol * max(1, |F|).
-    `damping` starts each fixed point and is halved whenever the residual
-    grows. `s_tol` is the width, relative to max(1, |hi|), at which the
-    bisection interval stops shrinking; if its midpoint then misses the
-    `rs_tol` band, halving goes on until the interval has no interior point.
+    `rs_tol` is relative and bands every path, closed forms included: a
+    solve whose prices miss |rs - F| <= rs_tol * max(1, |F|) raises
+    NonConvergence. The other knobs govern only the iterative paths of
+    generic demand models. `damping` starts each fixed point and is halved
+    whenever the residual grows. `s_tol` is the width, relative to
+    max(1, |hi|), at which a bisection interval stops shrinking; if its
+    midpoint then misses the `rs_tol` band, halving goes on until the
+    interval has no interior point.
     """
 
     fp_tol: float = 1e-10
@@ -93,6 +102,28 @@ class RamseySolution:
 
 
 @dataclass(frozen=True)
+class TargetBatch:
+    """One family's closed-form solves at a vector of K revenue targets.
+
+    Row i is what the one-target solve at target i gives: where `errors[i]`
+    is None, the tariff's `prices[i]` and `charges[i]`, with `margins[i]` =
+    phi_bar(prices[i]); otherwise `errors[i]` is the exception that solve
+    raises, and the row holds placeholder prices.
+    """
+
+    prices: np.ndarray
+    charges: np.ndarray
+    margins: np.ndarray
+    errors: tuple[Exception | None, ...]
+
+    def row(self, i: int) -> np.ndarray:
+        """Prices of row i, or raise its error."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return self.prices[i]
+
+
+@dataclass(frozen=True)
 class Assumption1Sample:
     pi: np.ndarray
     max_symmetric_eigenvalue: float
@@ -131,6 +162,41 @@ def _warn_on_sign(model: DemandModel, pi: np.ndarray, context: str) -> None:
 def _require_finite(target: float) -> None:
     if not math.isfinite(target):
         raise ValueError(f"revenue target must be finite, got {target!r}")
+
+
+def _checked_batch(
+    model: DemandModel,
+    targets: np.ndarray,
+    prices: np.ndarray,
+    connection_charge: float,
+    feasible_range: tuple[float, float],
+    config: SolverConfig,
+) -> TargetBatch:
+    """Batch of closed-form `prices` for `targets`, each row checked in the
+    order a one-target solve raises: a non-finite target, then one below the
+    range (InvalidRegime) or above it (InfeasibleTarget), then a margin
+    outside the rs_tol band (NonConvergence)."""
+    floor, ceiling = feasible_range
+    margins = phi_bar(model, prices)
+    errors = []
+    for F, achieved in zip(targets.tolist(), margins.tolist()):
+        tol = config.rs_tolerance(F)
+        if not math.isfinite(F):
+            error = ValueError(f"revenue target must be finite, got {F!r}")
+        elif F < floor - tol:
+            error = InvalidRegime(F, floor)
+        elif F > ceiling + tol:
+            error = InfeasibleTarget(F, feasible_range)
+        elif abs(achieved - F) > tol:
+            error = NonConvergence(
+                f"closed form missed the revenue band at rs {achieved!r} "
+                f"for target {F!r}"
+            )
+        else:
+            error = None
+        errors.append(error)
+    charges = np.full(targets.shape, float(connection_charge))
+    return TargetBatch(prices, charges, margins, tuple(errors))
 
 
 def _bisect_target(
@@ -276,6 +342,26 @@ def solve_two_part(
     return Tariff(connection_charge=charge, prices=pi, family="two-part-optimal")
 
 
+def two_part_batch(
+    model: LinearDemandModel, targets, config: SolverConfig = DEFAULT_CONFIG
+) -> TargetBatch:
+    """`solve_two_part` at every target: one price, one charge per target."""
+    targets = np.asarray(targets, dtype=float)
+    pi = _two_part_price(model, config)
+    margin = phi_bar(model, pi)
+    errors = tuple(
+        ValueError(f"revenue target must be finite, got {F!r}")
+        if not math.isfinite(F)
+        else ValueError("a two-part tariff needs at least one customer")
+        if model.customers < 1
+        else None
+        for F in targets.tolist()
+    )
+    charges = (targets - margin) / max(model.customers, 1)
+    prices = np.repeat(pi[np.newaxis], targets.size, axis=0)
+    return TargetBatch(prices, charges, np.full(targets.shape, margin), errors)
+
+
 def monopoly_price(
     model: DemandModel,
     config: SolverConfig = DEFAULT_CONFIG,
@@ -306,36 +392,47 @@ def monopoly_price(
     return pim
 
 
-def _ramsey_price_at(
-    model: DemandModel,
-    s: float,
-    pistar: np.ndarray,
-    config: SolverConfig,
-    start: np.ndarray,
-) -> np.ndarray:
-    """Ramsey price at intensity rho = s/(1-s).
+def ramsey_batch(
+    model: LinearDemandModel,
+    targets,
+    config: SolverConfig = DEFAULT_CONFIG,
+    connection_charge: float = 0.0,
+) -> tuple[np.ndarray, TargetBatch]:
+    """`solve_linear` at every target, in closed form; returns (s, batch).
 
-    Linear demand: the point s of the way from the expected wholesale price
-    to the satiation price. Generic demand: the markup fixed point.
+    The Ramsey price is lam_bar + s d with d = G^-1 omega_bar - lam_bar, the
+    ray to the satiation price, on which the margin is
+    s (1 - s) d'Gd - tr(Sigma). So s is the low root
+    2c / (1 + sqrt(1 - 4c)) of s (1 - s) = c = (F + tr(Sigma)) / d'Gd, with c
+    clipped to [0, 1/4] so that the ends of the range are exact, and a
+    target at or above phi_bar(pi_M) gets s = 1/2, the monopoly markup.
+    With a `connection_charge` (fixed-A), the volumetric part meets
+    F - M * connection_charge.
     """
-    if isinstance(model, LinearDemandModel):
-        pio = model.satiation_price()
-        lam_bar = model.scenarios.lambda_bar
-        return lam_bar + s * (pio - lam_bar)
-    rho = s / (1.0 - s) if s < 0.5 else 1.0
-    return _markup_price(model, rho, pistar, start, config)
+    residuals = np.asarray(targets, dtype=float) - model.customers * connection_charge
+    lam_bar = model.scenarios.lambda_bar
+    phi_star = phi_bar(model, lam_bar)
+    phi_max = phi_bar(model, monopoly_price(model, config, verify=False))
+    d = model.satiation_price() - lam_bar
+    dgd = float(d @ model.G @ d)
+    # a non-finite target (or d = 0) gets a placeholder row; its error is set
+    # by the batch check
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.nan_to_num((residuals + model.scenarios.trace_sigma) / dgd)
+    c = np.clip(c, 0.0, 0.25)
+    shares = 2.0 * c / (1.0 + np.sqrt(1.0 - 4.0 * c))
+    shares[residuals >= phi_max] = 0.5
+    prices = lam_bar + shares[:, np.newaxis] * d
+    batch = _checked_batch(
+        model, residuals, prices, connection_charge, (phi_star, phi_max), config
+    )
+    return shares, batch
 
 
-def solve_linear(
-    model: DemandModel, F: float, config: SolverConfig = DEFAULT_CONFIG
-) -> RamseySolution:
-    """Optimal linear (volumetric-only) tariff with expected surplus F.
-
-    Valid in the large-F regime phi_bar(pi*) <= F <= phi_bar(pi_M): below it
-    raises InvalidRegime, above it InfeasibleTarget. Bisects the markup
-    intensity s = rho/(1+rho) over [0, 1/2] (the low-markup branch, on which
-    the collected margin increases monotonically) until the surplus matches F.
-    """
+def _bisect_ramsey(
+    model: DemandModel, F: float, config: SolverConfig
+) -> tuple[float, np.ndarray, float]:
+    """Generic-demand Ramsey solve: (s, prices, achieved margin)."""
     _require_finite(F)
     pistar = _two_part_price(model, config)
     phi_star = phi_bar(model, pistar)
@@ -348,9 +445,28 @@ def solve_linear(
         raise InfeasibleTarget(F, (phi_star, phi_max))
 
     def price_at(s: float, start: np.ndarray) -> np.ndarray:
-        return _ramsey_price_at(model, s, pistar, config, start)
+        rho = s / (1.0 - s) if s < 0.5 else 1.0
+        return _markup_price(model, rho, pistar, start, config)
 
-    s, pi, achieved = _bisect_target(model, price_at, 0.0, 0.5, pistar, F, config)
+    return _bisect_target(model, price_at, 0.0, 0.5, pistar, F, config)
+
+
+def solve_linear(
+    model: DemandModel, F: float, config: SolverConfig = DEFAULT_CONFIG
+) -> RamseySolution:
+    """Optimal linear (volumetric-only) tariff with expected surplus F.
+
+    Valid in the large-F regime phi_bar(pi*) <= F <= phi_bar(pi_M): below it
+    raises InvalidRegime, above it InfeasibleTarget. Linear demand takes the
+    closed form of `ramsey_batch`. Generic demand bisects the markup
+    intensity s = rho/(1+rho) over [0, 1/2] (the low-markup branch, on which
+    the collected margin increases monotonically) until the surplus matches F.
+    """
+    if isinstance(model, LinearDemandModel):
+        shares, batch = ramsey_batch(model, [F], config)
+        s, pi, achieved = float(shares[0]), batch.row(0), float(batch.margins[0])
+    else:
+        s, pi, achieved = _bisect_ramsey(model, F, config)
     rho = s / (1.0 - s)
     gamma = 1.0 / (1.0 - rho) if rho < 1.0 else math.inf
     _warn_on_sign(model, pi, "linear tariff")
@@ -362,15 +478,8 @@ def _flat_phi(model: DemandModel, rate: float) -> float:
 
 
 def _flat_monopoly_rate(model: DemandModel, config: SolverConfig) -> float:
-    if isinstance(model, LinearDemandModel):
-        ones = np.ones(model.periods)
-        g1 = model.G @ ones
-        return float(
-            (ones @ model.scenarios.omega_bar + model.scenarios.lambda_bar @ g1)
-            / (2.0 * float(ones @ g1))
-        )
-    # generic demand: expand a bracket past the peak, then ternary-search the
-    # concave margin
+    """Generic demand: expand a bracket past the peak, then ternary-search
+    the concave margin."""
     lo = 0.0
     hi = max(1.0, 2.0 * float(model.scenarios.lambda_bar.mean()))
     while _flat_phi(model, hi) > _flat_phi(model, hi * 0.5):
@@ -390,7 +499,7 @@ def _flat_monopoly_rate(model: DemandModel, config: SolverConfig) -> float:
 
 
 def _flat_low_root(model: DemandModel, target: float, config: SolverConfig) -> float:
-    """Lowest rate whose flat margin hits `target` (the low-markup root)."""
+    """Generic demand: lowest rate whose flat margin hits `target`."""
     _require_finite(target)
     rate_m = _flat_monopoly_rate(model, config)
     phi_max = _flat_phi(model, rate_m)
@@ -411,12 +520,56 @@ def _flat_low_root(model: DemandModel, target: float, config: SolverConfig) -> f
     )[0]
 
 
+def flat_batch(
+    model: LinearDemandModel,
+    targets,
+    config: SolverConfig = DEFAULT_CONFIG,
+    connection_charge: float = 0.0,
+) -> TargetBatch:
+    """`solve_flat_linear` at every target, in closed form.
+
+    The flat margin is phi_bar(r 1) = -a r^2 + b r - c0 with a = 1'G1,
+    b = 1'omega_bar + lam_bar'G1 and c0 = lam_bar'omega_bar + tr(Sigma), so
+    the rate is the low root of a r^2 - b r + c = 0, c = c0 + F:
+    r = p - sqrt(p^2 - c/a) around the peak rate p = b / 2a. A target above
+    the peak margin is met at the peak. With a `connection_charge`
+    (adjusted-flat), the volumetric part meets F - M * connection_charge.
+    """
+    residuals = np.asarray(targets, dtype=float) - model.customers * connection_charge
+    ss = model.scenarios
+    ones = np.ones(model.periods)
+    g1 = model.G @ ones
+    a = float(ones @ g1)
+    peak = float((ones @ ss.omega_bar + ss.lambda_bar @ g1) / (2.0 * a))
+    phi_max = _flat_phi(model, peak)
+    c0 = float(ss.lambda_bar @ ss.omega_bar) + ss.trace_sigma
+    # a non-finite target gets a placeholder row; its error is set by the
+    # batch check
+    finite = np.nan_to_num(residuals, nan=0.0, posinf=0.0, neginf=0.0)
+    c = np.minimum(c0 + finite, a * peak * peak)
+    # sqrt(p^2 - c/a) from w = sqrt(|c| / a), scaled by the larger of |p| and
+    # w so that no square overflows, even at a target near -1e308
+    w = np.sqrt(np.abs(c)) / math.sqrt(a)
+    scale = np.maximum(w, max(abs(peak), np.finfo(float).tiny))
+    root = scale * np.sqrt(
+        np.maximum((peak / scale) ** 2 - np.sign(c) * (w / scale) ** 2, 0.0)
+    )
+    # p - root, without cancelling p against root when p > 0
+    rates = c / (a * (peak + root)) if peak > 0 else peak - root
+    prices = np.repeat(rates[:, np.newaxis], model.periods, axis=1)
+    return _checked_batch(
+        model, residuals, prices, connection_charge, (-math.inf, phi_max), config
+    )
+
+
 def solve_flat_linear(
     model: DemandModel, F: float, config: SolverConfig = DEFAULT_CONFIG
 ) -> Tariff:
     """Optimized flat volumetric tariff: lowest flat rate with margin F."""
-    rate = _flat_low_root(model, F, config)
-    pi = np.full(model.periods, rate)
+    if isinstance(model, LinearDemandModel):
+        pi = flat_batch(model, [F], config).row(0)
+    else:
+        pi = np.full(model.periods, _flat_low_root(model, F, config))
     _warn_on_sign(model, pi, "flat linear tariff")
     return Tariff(connection_charge=0.0, prices=pi, family="flat-linear")
 
@@ -462,9 +615,11 @@ def solve_adjusted_flat(
     delta solves phi_bar(1 * (base_rate + delta)) + M * A_fixed = F at the
     low-markup root; at F equal to the baseline's own surplus, delta is 0.
     """
-    residual = F - model.customers * A_fixed
-    rate = _flat_low_root(model, residual, config)
-    pi = np.full(model.periods, rate)
+    if isinstance(model, LinearDemandModel):
+        pi = flat_batch(model, [F], config, A_fixed).row(0)
+    else:
+        residual = F - model.customers * A_fixed
+        pi = np.full(model.periods, _flat_low_root(model, residual, config))
     _warn_on_sign(model, pi, "adjusted flat tariff")
     return Tariff(connection_charge=A_fixed, prices=pi, family="adjusted-flat")
 

@@ -39,6 +39,18 @@ def i2cov_model() -> tl.LinearDemandModel:
     return tl.LinearDemandModel(G=G_I2, scenarios=scenarios, customers=1)
 
 
+@pytest.fixture(scope="session")
+def bundled_model() -> tl.LinearDemandModel:
+    """The bundled 92-day dataset under the default calibration (read-only)."""
+    from tarifflab.synthetic import bundled_dataset_paths
+
+    load_path, prices_path = bundled_dataset_paths()
+    scenarios = tl.estimate_moments(
+        tl.parse_csv(load_path, "load"), tl.parse_csv(prices_path, "price")
+    )
+    return tl.calibrate_demand(scenarios, tl.CalibrationConfig())
+
+
 @pytest.fixture
 def i2_baseline() -> tl.Tariff:
     # baseline at the efficient price with no charge: gains read directly

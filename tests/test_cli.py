@@ -26,6 +26,17 @@ def i2_model_file(tmp_path, i2_model):
     return path
 
 
+@pytest.fixture(scope="module")
+def bundled_model_file(tmp_path_factory):
+    """The bundled dataset fitted with the CLI defaults."""
+    from tarifflab.synthetic import bundled_dataset_paths
+
+    load, prices = bundled_dataset_paths()
+    out = tmp_path_factory.mktemp("bundled") / "bundled.tlm"
+    assert main(["fit", "--load", str(load), "--prices", str(prices), "--out", str(out)]) == 0
+    return out
+
+
 @pytest.fixture
 def tiny_csvs(tmp_path):
     load = tmp_path / "load.csv"
@@ -347,6 +358,43 @@ class TestSolve:
         ])
         assert code == 2
         assert "revenue target must be finite" in capsys.readouterr().err
+
+    def test_top_of_front_prints_exact_monopoly_markup(self, bundled_model_file, capsys):
+        capsys.readouterr()
+        model = tl.read_model_file(bundled_model_file).to_model()
+        top = tl.phi_bar(model, tl.monopoly_price(model, verify=False))
+        code = main([
+            "solve", "--model", str(bundled_model_file), "--family", "linear",
+            "--target-rs", repr(top),
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "rho: 1" in lines
+        assert "gamma: inf" in lines
+
+    @pytest.mark.parametrize("family", ["flat-linear", "adjusted-flat"])
+    @pytest.mark.parametrize("target", ["-1e300", "-1e200"])
+    def test_huge_negative_flat_target(
+        self, bundled_model_file, tmp_path, capsys, family, target
+    ):
+        out = tmp_path / "solve.csv"
+        with pytest.warns(tl.PriceSignWarning):
+            code = main([
+                "solve", "--model", str(bundled_model_file), "--family", family,
+                f"--target-rs={target}", "--out", str(out),
+            ])
+        assert code == 0, capsys.readouterr().err
+        payload = tl.read_model_file(bundled_model_file)
+        model = payload.to_model()
+        charge = payload.baseline_connection_charge if family == "adjusted-flat" else 0.0
+        row = out.read_text().splitlines()[1].split(",")
+        prices = np.array(row[6:], dtype=float)
+        # one flat rate, near -sqrt(|F| / 1'G1): far past any bracket walk
+        assert len(set(row[6:])) == 1 and prices[0] < -1e90
+        # the volumetric part meets its residual target inside the rs band
+        residual = float(target) - model.customers * charge
+        achieved = tl.phi_bar(model, prices)
+        assert abs(achieved - residual) <= tl.SolverConfig().rs_tolerance(residual)
 
 
 class TestPareto:

@@ -136,13 +136,34 @@ class TestParseCsv:
             assert fast.values.tobytes() == rows.values.tobytes()
             assert fast.day_labels == rows.day_labels
 
+    def test_fast_path_takes_crlf_files(self, tmp_path):
+        from tarifflab.synthetic import bundled_dataset_paths
+
+        for path, kind in zip(bundled_dataset_paths(), ("load", "price")):
+            crlf = tmp_path / f"{kind}.csv"
+            crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            fast = _parse_dense(crlf.read_bytes(), kind)
+            assert fast is not None
+            lf = _parse_dense(path.read_bytes(), kind)
+            assert fast.values.tobytes() == lf.values.tobytes()
+            assert fast.day_labels == lf.day_labels
+
+    @pytest.mark.parametrize("data", [
+        b"day,hour,value\r0,0,1.0\r0,1,2.0\r",
+        b"day,hour,value\n0,0,1.0\r0,1,2.0\n",
+        b"day,hour,value\r\n0,0,1.0\r\r\n0,1,2.0\r\n",
+        b"day,hour,value\n0,0,1.0\n0,1,2.0\r",
+    ])
+    def test_lone_cr_is_left_to_row_reader(self, data):
+        assert _parse_dense(data, "load") is None
+
 
 # one mutation away from a clean file; the whole-file parser must either
 # agree with the row-by-row reader or leave the file to it
 MUTATIONS = (
-    "none", "shuffle", "drop", "duplicate", "crlf", "quote", "blank", "pad",
-    "non-finite", "negative", "bad-label", "long-label", "no-final-newline",
-    "no-rows",
+    "none", "shuffle", "drop", "duplicate", "crlf", "cr", "mixed-line-ends",
+    "quote", "blank", "pad", "non-finite", "negative", "bad-label",
+    "long-label", "no-final-newline", "no-rows",
 )
 
 
@@ -174,6 +195,8 @@ def mutated_csvs(draw):
         rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
     elif mutation == "crlf":
         newline = final = "\r\n"
+    elif mutation == "cr":
+        newline = final = "\r"
     elif mutation == "quote":
         rows[i][field] = f'"{rows[i][field]}"'
     elif mutation == "blank":
@@ -195,6 +218,12 @@ def mutated_csvs(draw):
     elif mutation == "no-rows":
         rows = [[]] * draw(st.integers(0, 2))
     lines = ["day,hour,value"] + [",".join(row) for row in rows]
+    if mutation == "mixed-line-ends":
+        ends = draw(st.lists(
+            st.sampled_from(["\n", "\r\n", "\r"]),
+            min_size=len(lines), max_size=len(lines),
+        ))
+        return kind, "".join(line + end for line, end in zip(lines, ends))
     return kind, newline.join(lines) + final
 
 

@@ -180,6 +180,66 @@ def test_every_family_matches_its_generic_twin(seed, frac, charge_frac):
         ), family.name
 
 
+def assert_sweep_rows_are_solves(model, baseline, grid):
+    """Every sweep point is its one-target solve: the same prices, charge and
+    gains bit for bit, and infeasible exactly where that solve raises
+    InfeasibleTarget or InvalidRegime."""
+    config = tl.SolverConfig()
+    charge, rate = baseline.connection_charge, float(baseline.prices[0])
+    fronts = tl.sweep(model, baseline, tl.TARIFF_FAMILIES, grid, config)
+    assert [front.family for front in fronts] == list(FAMILIES)
+    for front in fronts:
+        family = FAMILIES[front.family]
+        assert [p.F for p in front.points] == sorted(float(F) for F in grid)
+        for point in front.points:
+            try:
+                tariff, _ = family.solve(model, point.F, config, charge, rate)
+            except (tl.InfeasibleTarget, tl.InvalidRegime):
+                assert not point.feasible, (front.family, point.F)
+                continue
+            assert point.feasible, (front.family, point.F)
+            assert point.tariff.prices.tobytes() == tariff.prices.tobytes()
+            assert np.float64(point.tariff.connection_charge).tobytes() == np.float64(
+                tariff.connection_charge
+            ).tobytes()
+            assert point.tariff.family == tariff.family
+            report = tl.welfare_gains(model, tariff, baseline)
+            assert (point.delta_cs, point.delta_rs, point.delta_sw) == (
+                report.delta_cs, report.delta_rs, report.delta_sw
+            )
+
+
+def front_grid(model, steps: int, overhang: float) -> np.ndarray:
+    """The default grid, with the exact ends, widened on both sides so that
+    it crosses every family's feasibility edges."""
+    lo = tl.phi_bar(model, model.scenarios.lambda_bar)
+    hi = tl.phi_bar(model, tl.monopoly_price(model, verify=False))
+    span = hi - lo
+    wide = np.linspace(lo - overhang * span, hi + overhang * span, steps)
+    return np.concatenate([tl.default_revenue_grid(model, steps), wide])
+
+
+@pytest.mark.filterwarnings("ignore::tarifflab.errors.PriceSignWarning")
+@settings(max_examples=30, deadline=None)
+@given(SEEDS, st.integers(1, 12), st.floats(0.0, 1.0), st.floats(0.0, 2.0))
+def test_sweep_rows_equal_one_target_solves(seed, steps, charge_frac, overhang):
+    model = make_model(seed)
+    grid = front_grid(model, steps, overhang)
+    span = float(grid.max() - grid.min())
+    baseline = tl.Tariff(
+        connection_charge=charge_frac * span / model.customers,
+        prices=np.full(model.periods, float(model.scenarios.lambda_bar.mean())),
+        family="two-part-optimal",
+    )
+    assert_sweep_rows_are_solves(model, baseline, grid)
+
+
+@pytest.mark.filterwarnings("ignore::tarifflab.errors.PriceSignWarning")
+def test_sweep_rows_equal_one_target_solves_on_bundled_model(bundled_model):
+    baseline = tl.baseline_tariff(bundled_model, tl.CalibrationConfig())
+    assert_sweep_rows_are_solves(bundled_model, baseline, front_grid(bundled_model, 41, 0.5))
+
+
 @settings(max_examples=20, deadline=None)
 @given(SEEDS, st.floats(0.1, 0.9), st.floats(0.0, 1.0))
 def test_dominance_across_families(seed, frac, charge_frac):
@@ -289,17 +349,6 @@ def assert_rows_bit_equal(model: tl.DemandModel, prices: np.ndarray) -> None:
     stacked = tl.phi_bar(model, prices)
     assert stacked.shape == (len(prices),)
     assert np.array_equal(stacked, [tl.phi_bar(model, p) for p in prices])
-
-
-@pytest.fixture(scope="module")
-def bundled_model() -> tl.LinearDemandModel:
-    from tarifflab.synthetic import bundled_dataset_paths
-
-    load_path, prices_path = bundled_dataset_paths()
-    scenarios = tl.estimate_moments(
-        tl.parse_csv(load_path, "load"), tl.parse_csv(prices_path, "price")
-    )
-    return tl.calibrate_demand(scenarios, tl.CalibrationConfig())
 
 
 @settings(max_examples=40, deadline=None)

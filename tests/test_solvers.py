@@ -1,10 +1,14 @@
 """Solver examples and invariants: two-part, Ramsey, monopoly, flat variants,
 the curvature screen, and the planner bound."""
 
+import math
+
 import numpy as np
 import pytest
 
 import tarifflab as tl
+from tarifflab import solvers
+from tarifflab.pareto import FAMILIES
 from conftest import (
     ConstantDemand,
     CubicDemand,
@@ -103,6 +107,15 @@ class TestSolveLinear:
         assert abs(sol.achieved_rs) <= tl.SolverConfig().rs_tol
         assert sol.achieved_rs == tl.phi_bar(model, sol.prices)
         assert 0.0 < sol.rho < 1e-2
+
+    def test_top_of_front_is_the_exact_monopoly_markup(self, bundled_model):
+        # at F = phi_bar(pi_M) the Ramsey markup is the monopoly one exactly,
+        # not a bisection step short of it (rho 0.9999999905, gamma 1.05e8)
+        top = tl.phi_bar(bundled_model, tl.monopoly_price(bundled_model, verify=False))
+        sol = tl.solve_linear(bundled_model, top)
+        assert sol.rho == 1.0
+        assert sol.gamma == math.inf
+        assert abs(sol.achieved_rs - top) <= tl.SolverConfig().rs_tolerance(top)
 
     def test_infeasible_above_monopoly_margin(self, i2_model):
         with pytest.raises(tl.InfeasibleTarget) as exc_info:
@@ -436,3 +449,29 @@ class TestSolverInvariants:
             tl.solve_fixed_A_two_part(i2_model, F, 1.0)
         with pytest.raises(ValueError, match="revenue target must be finite"):
             tl.solve_adjusted_flat(i2_model, F, 1.5, 1.0)
+
+
+class TestClosedFormPath:
+    @pytest.mark.filterwarnings("ignore::tarifflab.errors.PriceSignWarning")
+    def test_linear_model_never_bisects(self, monkeypatch, bundled_model, i2_model):
+        calls = []
+        bisect = solvers._bisect_target
+
+        def counting_bisect(*args, **kwargs):
+            calls.append(args)
+            return bisect(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_bisect_target", counting_bisect)
+        baseline = tl.baseline_tariff(bundled_model, tl.CalibrationConfig())
+        grid = tl.default_revenue_grid(bundled_model)
+        fronts = tl.sweep(bundled_model, baseline, tl.TARIFF_FAMILIES, grid)
+        assert all(front.feasible_points for front in fronts)
+        charge, rate = baseline.connection_charge, float(baseline.prices[0])
+        for family in FAMILIES.values():
+            family.solve(bundled_model, float(grid[len(grid) // 2]), tl.SolverConfig(),
+                         charge, rate)
+        assert calls == []
+        # the counter does see the generic path
+        tl.solve_linear(generic_twin(i2_model), 24.0)
+        tl.solve_flat_linear(generic_twin(i2_model), 24.0)
+        assert len(calls) == 2
