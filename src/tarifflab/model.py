@@ -409,19 +409,16 @@ def _cs_term(
     return (0.5 * quad - linear)[()] - model.customers * connection_charge
 
 
-def consumer_surplus_gain(
-    model: LinearDemandModel, pi, baseline: Tariff, connection_charge=0.0
-):
-    """Consumer-surplus gain of charging pi and `connection_charge` over
+def consumer_surplus_gain(model: LinearDemandModel, pi, baseline: Tariff):
+    """Consumer-surplus gain of charging pi with no connection charge over
     `baseline`, $/cycle.
 
     `pi` is one price vector, giving a float, or a (K, N) stack of them,
-    giving K gains, with one charge or a charge per row; each is bit-equal
-    to `welfare_gains(...).delta_cs`.
+    giving K gains; each is bit-equal to `welfare_gains(...).delta_cs`.
     """
     prices = _as_price_vector(model, pi, stack=True)
     base = _cs_term(model, baseline.prices, baseline.connection_charge)
-    gains = _cs_term(model, prices, connection_charge) - base
+    gains = _cs_term(model, prices) - base
     return float(gains) if prices.ndim == 1 else gains
 
 

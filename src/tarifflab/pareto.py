@@ -13,46 +13,38 @@ from .model import (
     TARIFF_FAMILIES,
     LinearDemandModel,
     Tariff,
-    consumer_surplus_gain,
     retailer_surplus,
+    welfare_gains,
 )
 from .solvers import (
     DEFAULT_CONFIG,
     RamseySolution,
     SolverConfig,
-    TargetBatch,
-    _warn_on_sign,
     adjusted_flat_delta,
-    flat_batch,
     monopoly_price,
     phi_bar,
-    ramsey_batch,
     solve_adjusted_flat,
     solve_fixed_A_ramsey,
     solve_flat_linear,
     solve_linear,
     solve_two_part,
-    two_part_batch,
 )
 
 
 @dataclass(frozen=True)
 class Family:
-    """One tariff family: its name, CLI aliases, plot colour and solvers.
+    """One tariff family: its name, CLI aliases, plot colour and solver.
 
     `solve(model, F, config, fixed_charge, base_rate)` returns the tariff and
     the diagnostics `solve` prints. `fixed_charge` is the frozen connection
     charge of the fixed-charge families; `base_rate` is adjusted-flat's rate
-    before adjustment. `batch(model, targets, config, fixed_charge,
-    base_rate)` is the same solve at every target of a linear model, as a
-    `TargetBatch` whose rows are bit-equal to one-target solves.
+    before adjustment.
     """
 
     name: str
     aliases: tuple[str, ...]
     color: str
     solve: Callable[..., tuple[Tariff, dict[str, float]]]
-    batch: Callable[..., TargetBatch]
 
 
 def _ramsey_diagnostics(solution: RamseySolution) -> dict[str, float]:
@@ -60,17 +52,8 @@ def _ramsey_diagnostics(solution: RamseySolution) -> dict[str, float]:
             "achieved_rs": solution.achieved_rs}
 
 
-def _need_base_rate(base_rate: float | None) -> None:
-    if base_rate is None:
-        raise ValueError("adjusted-flat sweeps need a flat baseline rate")
-
-
 def _two_part(model, F, config, fixed_charge, base_rate):
     return solve_two_part(model, F, config), {}
-
-
-def _two_part_batch(model, targets, config, fixed_charge, base_rate):
-    return two_part_batch(model, targets, config)
 
 
 def _linear(model, F, config, fixed_charge, base_rate):
@@ -78,16 +61,8 @@ def _linear(model, F, config, fixed_charge, base_rate):
     return solution.tariff, _ramsey_diagnostics(solution)
 
 
-def _linear_batch(model, targets, config, fixed_charge, base_rate):
-    return ramsey_batch(model, targets, config)[1]
-
-
 def _flat(model, F, config, fixed_charge, base_rate):
     return solve_flat_linear(model, F, config), {}
-
-
-def _flat_batch(model, targets, config, fixed_charge, base_rate):
-    return flat_batch(model, targets, config)
 
 
 def _fixed_A(model, F, config, fixed_charge, base_rate):
@@ -95,31 +70,21 @@ def _fixed_A(model, F, config, fixed_charge, base_rate):
     return tariff, _ramsey_diagnostics(solution)
 
 
-def _fixed_A_batch(model, targets, config, fixed_charge, base_rate):
-    return ramsey_batch(model, targets, config, fixed_charge)[1]
-
-
 def _adjusted_flat(model, F, config, fixed_charge, base_rate):
-    _need_base_rate(base_rate)
+    if base_rate is None:
+        raise ValueError("adjusted-flat sweeps need a flat baseline rate")
     tariff = solve_adjusted_flat(model, F, base_rate, fixed_charge, config)
     return tariff, {"delta": adjusted_flat_delta(tariff, base_rate)}
-
-
-def _adjusted_flat_batch(model, targets, config, fixed_charge, base_rate):
-    _need_base_rate(base_rate)
-    return flat_batch(model, targets, config, fixed_charge)
 
 
 FAMILIES = {
     f.name: f
     for f in (
-        Family("two-part-optimal", ("two-part",), "#1f77b4", _two_part,
-               _two_part_batch),
-        Family("linear-optimal", ("linear",), "#d62728", _linear, _linear_batch),
-        Family("flat-linear", (), "#9467bd", _flat, _flat_batch),
-        Family("fixed-A-two-part", ("fixed-a-two-part",), "#2ca02c", _fixed_A,
-               _fixed_A_batch),
-        Family("adjusted-flat", (), "#ff7f0e", _adjusted_flat, _adjusted_flat_batch),
+        Family("two-part-optimal", ("two-part",), "#1f77b4", _two_part),
+        Family("linear-optimal", ("linear",), "#d62728", _linear),
+        Family("flat-linear", (), "#9467bd", _flat),
+        Family("fixed-A-two-part", ("fixed-a-two-part",), "#2ca02c", _fixed_A),
+        Family("adjusted-flat", (), "#ff7f0e", _adjusted_flat),
     )
 }
 
@@ -171,46 +136,6 @@ def default_revenue_grid(
     return np.linspace(lo, hi, steps)
 
 
-def _front_points(
-    family: Family,
-    model: LinearDemandModel,
-    baseline: Tariff,
-    baseline_rs: float,
-    targets: np.ndarray,
-    config: SolverConfig,
-    fixed_charge: float,
-    base_rate: float | None,
-) -> tuple[ParetoPoint, ...]:
-    """One family's points at ascending `targets`, solved as one batch.
-
-    Gains are the stacked forms of `welfare_gains`, row for row the same
-    bits. An error other than infeasibility is raised at its point, as a
-    loop of one-target solves would raise it.
-    """
-    batch = family.batch(model, targets, config, fixed_charge, base_rate)
-    delta_cs = consumer_surplus_gain(model, batch.prices, baseline, batch.charges)
-    delta_rs = batch.margins + model.customers * batch.charges - baseline_rs
-    delta_sw = delta_cs + delta_rs
-    points = []
-    rows = zip(targets.tolist(), batch.errors, delta_cs.tolist(), delta_rs.tolist(),
-               delta_sw.tolist(), batch.charges.tolist(), batch.prices)
-    for F, error, dcs, drs, dsw, charge, prices in rows:
-        if isinstance(error, (InfeasibleTarget, InvalidRegime)):
-            points.append(ParetoPoint(
-                F=F, delta_cs=math.nan, delta_rs=math.nan, delta_sw=math.nan,
-                tariff=None, feasible=False,
-            ))
-            continue
-        if error is not None:
-            raise error
-        _warn_on_sign(model, prices, family.name)
-        tariff = Tariff(connection_charge=charge, prices=prices, family=family.name)
-        points.append(ParetoPoint(
-            F=F, delta_cs=dcs, delta_rs=drs, delta_sw=dsw, tariff=tariff, feasible=True,
-        ))
-    return tuple(points)
-
-
 def sweep(
     model: LinearDemandModel,
     baseline: Tariff,
@@ -223,13 +148,11 @@ def sweep(
 ) -> list[ParetoFront]:
     """Solve each family across the revenue-target grid.
 
-    Each family is solved over the whole grid at once, in closed form; a
-    point is bit-equal to the one-target solve at its target. Targets a
-    family cannot meet are recorded in-band as infeasible points so the
-    frontier F = phi_bar(pi_M) stays visible. `fixed_charge` (for the
+    Targets a family cannot meet are recorded in-band as infeasible points so
+    the frontier F = phi_bar(pi_M) stays visible. `fixed_charge` (for the
     fixed-charge families) defaults to the baseline's connection charge;
     `base_rate` (for adjusted-flat) defaults to the baseline's rate when the
-    baseline is flat. Welfare gains need the linear-quadratic model.
+    baseline is flat.
     """
     requested = set(families)
     unknown = requested - set(FAMILIES)
@@ -237,22 +160,37 @@ def sweep(
         raise ValueError(
             f"unknown families {sorted(unknown)}; expected among {TARIFF_FAMILIES}"
         )
-    if not isinstance(model, LinearDemandModel):
-        raise TypeError("pareto sweeps need the linear-quadratic consumer model")
     families = [f for f in FAMILIES if f in requested]
     if fixed_charge is None:
         fixed_charge = baseline.connection_charge
     if base_rate is None and baseline.is_flat:
         base_rate = float(baseline.prices[0])
-    targets = np.array(sorted(float(f) for f in F_grid))
+    targets = [float(f) for f in F_grid]
+    order = sorted(range(len(targets)), key=lambda i: targets[i])
     baseline_rs = retailer_surplus(model, baseline)
+
+    def solve_point(family: Family, F: float) -> ParetoPoint:
+        try:
+            tariff, _ = family.solve(model, F, config, fixed_charge, base_rate)
+        except (InfeasibleTarget, InvalidRegime):
+            return ParetoPoint(
+                F=F, delta_cs=math.nan, delta_rs=math.nan, delta_sw=math.nan,
+                tariff=None, feasible=False,
+            )
+        report = welfare_gains(model, tariff, baseline)
+        return ParetoPoint(
+            F=F,
+            delta_cs=report.delta_cs,
+            delta_rs=report.delta_rs,
+            delta_sw=report.delta_sw,
+            tariff=tariff,
+            feasible=True,
+        )
+
     return [
         ParetoFront(
             family=name,
-            points=_front_points(
-                FAMILIES[name], model, baseline, baseline_rs, targets, config,
-                fixed_charge, base_rate,
-            ) if targets.size else (),
+            points=tuple(solve_point(FAMILIES[name], targets[i]) for i in order),
             baseline=baseline,
             baseline_rs=baseline_rs,
         )

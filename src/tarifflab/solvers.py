@@ -10,9 +10,7 @@ The model's type picks the path. A `LinearDemandModel` (deterministic price
 response) takes the closed forms: the two-part markup vanishes, the Ramsey
 and monopoly prices lie on the ray from the expected wholesale price to the
 satiation price, where the margin is a scalar quadratic in the markup, and
-each flat rate is the low root of another scalar quadratic. The `*_batch`
-functions evaluate them over a whole vector of targets at once; a
-one-target solve is a batch of one, so both give the same bits. Any other
+each flat rate is the low root of another scalar quadratic. Any other
 `DemandModel` iterates: an outer bisection of the markup intensity against
 the target around an inner damped fixed point on the price vector, and a
 bracket walk with bisection (after a ternary search for the peak) for flat
@@ -102,28 +100,6 @@ class RamseySolution:
 
 
 @dataclass(frozen=True)
-class TargetBatch:
-    """One family's closed-form solves at a vector of K revenue targets.
-
-    Row i is what the one-target solve at target i gives: where `errors[i]`
-    is None, the tariff's `prices[i]` and `charges[i]`, with `margins[i]` =
-    phi_bar(prices[i]); otherwise `errors[i]` is the exception that solve
-    raises, and the row holds placeholder prices.
-    """
-
-    prices: np.ndarray
-    charges: np.ndarray
-    margins: np.ndarray
-    errors: tuple[Exception | None, ...]
-
-    def row(self, i: int) -> np.ndarray:
-        """Prices of row i, or raise its error."""
-        if self.errors[i] is not None:
-            raise self.errors[i]
-        return self.prices[i]
-
-
-@dataclass(frozen=True)
 class Assumption1Sample:
     pi: np.ndarray
     max_symmetric_eigenvalue: float
@@ -164,39 +140,18 @@ def _require_finite(target: float) -> None:
         raise ValueError(f"revenue target must be finite, got {target!r}")
 
 
-def _checked_batch(
-    model: DemandModel,
-    targets: np.ndarray,
-    prices: np.ndarray,
-    connection_charge: float,
-    feasible_range: tuple[float, float],
-    config: SolverConfig,
-) -> TargetBatch:
-    """Batch of closed-form `prices` for `targets`, each row checked in the
-    order a one-target solve raises: a non-finite target, then one below the
-    range (InvalidRegime) or above it (InfeasibleTarget), then a margin
-    outside the rs_tol band (NonConvergence)."""
-    floor, ceiling = feasible_range
-    margins = phi_bar(model, prices)
-    errors = []
-    for F, achieved in zip(targets.tolist(), margins.tolist()):
-        tol = config.rs_tolerance(F)
-        if not math.isfinite(F):
-            error = ValueError(f"revenue target must be finite, got {F!r}")
-        elif F < floor - tol:
-            error = InvalidRegime(F, floor)
-        elif F > ceiling + tol:
-            error = InfeasibleTarget(F, feasible_range)
-        elif abs(achieved - F) > tol:
-            error = NonConvergence(
-                f"closed form missed the revenue band at rs {achieved!r} "
-                f"for target {F!r}"
-            )
-        else:
-            error = None
-        errors.append(error)
-    charges = np.full(targets.shape, float(connection_charge))
-    return TargetBatch(prices, charges, margins, tuple(errors))
+def _band_checked(
+    model: DemandModel, pi: np.ndarray, target: float, config: SolverConfig
+) -> float:
+    """Margin of the closed-form `pi`, or NonConvergence if it misses the
+    rs_tol band around `target`."""
+    achieved = phi_bar(model, pi)
+    if abs(achieved - target) > config.rs_tolerance(target):
+        raise NonConvergence(
+            f"closed form missed the revenue band at rs {achieved!r} "
+            f"for target {target!r}"
+        )
+    return achieved
 
 
 def _bisect_target(
@@ -342,26 +297,6 @@ def solve_two_part(
     return Tariff(connection_charge=charge, prices=pi, family="two-part-optimal")
 
 
-def two_part_batch(
-    model: LinearDemandModel, targets, config: SolverConfig = DEFAULT_CONFIG
-) -> TargetBatch:
-    """`solve_two_part` at every target: one price, one charge per target."""
-    targets = np.asarray(targets, dtype=float)
-    pi = _two_part_price(model, config)
-    margin = phi_bar(model, pi)
-    errors = tuple(
-        ValueError(f"revenue target must be finite, got {F!r}")
-        if not math.isfinite(F)
-        else ValueError("a two-part tariff needs at least one customer")
-        if model.customers < 1
-        else None
-        for F in targets.tolist()
-    )
-    charges = (targets - margin) / max(model.customers, 1)
-    prices = np.repeat(pi[np.newaxis], targets.size, axis=0)
-    return TargetBatch(prices, charges, np.full(targets.shape, margin), errors)
-
-
 def monopoly_price(
     model: DemandModel,
     config: SolverConfig = DEFAULT_CONFIG,
@@ -392,47 +327,20 @@ def monopoly_price(
     return pim
 
 
-def ramsey_batch(
-    model: LinearDemandModel,
-    targets,
-    config: SolverConfig = DEFAULT_CONFIG,
-    connection_charge: float = 0.0,
-) -> tuple[np.ndarray, TargetBatch]:
-    """`solve_linear` at every target, in closed form; returns (s, batch).
-
-    The Ramsey price is lam_bar + s d with d = G^-1 omega_bar - lam_bar, the
-    ray to the satiation price, on which the margin is
-    s (1 - s) d'Gd - tr(Sigma). So s is the low root
-    2c / (1 + sqrt(1 - 4c)) of s (1 - s) = c = (F + tr(Sigma)) / d'Gd, with c
-    clipped to [0, 1/4] so that the ends of the range are exact, and a
-    target at or above phi_bar(pi_M) gets s = 1/2, the monopoly markup.
-    With a `connection_charge` (fixed-A), the volumetric part meets
-    F - M * connection_charge.
-    """
-    residuals = np.asarray(targets, dtype=float) - model.customers * connection_charge
-    lam_bar = model.scenarios.lambda_bar
-    phi_star = phi_bar(model, lam_bar)
-    phi_max = phi_bar(model, monopoly_price(model, config, verify=False))
-    d = model.satiation_price() - lam_bar
-    dgd = float(d @ model.G @ d)
-    # a non-finite target (or d = 0) gets a placeholder row; its error is set
-    # by the batch check
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.nan_to_num((residuals + model.scenarios.trace_sigma) / dgd)
-    c = np.clip(c, 0.0, 0.25)
-    shares = 2.0 * c / (1.0 + np.sqrt(1.0 - 4.0 * c))
-    shares[residuals >= phi_max] = 0.5
-    prices = lam_bar + shares[:, np.newaxis] * d
-    batch = _checked_batch(
-        model, residuals, prices, connection_charge, (phi_star, phi_max), config
-    )
-    return shares, batch
-
-
-def _bisect_ramsey(
+def _ramsey_solve(
     model: DemandModel, F: float, config: SolverConfig
 ) -> tuple[float, np.ndarray, float]:
-    """Generic-demand Ramsey solve: (s, prices, achieved margin)."""
+    """Ramsey price collecting F: (s, prices, achieved margin), s = rho/(1+rho).
+
+    Linear demand: the price is pi* + s d with d = G^-1 omega_bar - pi*, the
+    ray to the satiation price, on which the margin is
+    s (1 - s) d'Gd - tr(Sigma). So s is the low root 2c / (1 + sqrt(1 - 4c))
+    of s (1 - s) = c = (F + tr(Sigma)) / d'Gd, with c clipped to [0, 1/4] so
+    that the ends of the range are exact, and a target at or above
+    phi_bar(pi_M) gets s = 1/2, the monopoly markup. Generic demand bisects
+    s over [0, 1/2] (the low-markup branch, on which the collected margin
+    increases monotonically).
+    """
     _require_finite(F)
     pistar = _two_part_price(model, config)
     phi_star = phi_bar(model, pistar)
@@ -443,6 +351,18 @@ def _bisect_ramsey(
         raise InvalidRegime(F, phi_star)
     if F > phi_max + tol:
         raise InfeasibleTarget(F, (phi_star, phi_max))
+
+    if isinstance(model, LinearDemandModel):
+        d = model.satiation_price() - pistar
+        dgd = float(d @ model.G @ d)
+        if F >= phi_max:
+            s = 0.5
+        else:
+            c = (F + model.scenarios.trace_sigma) / dgd if dgd > 0 else 0.0
+            c = min(max(c, 0.0), 0.25)
+            s = 2.0 * c / (1.0 + math.sqrt(1.0 - 4.0 * c))
+        pi = pistar + s * d
+        return s, pi, _band_checked(model, pi, F, config)
 
     def price_at(s: float, start: np.ndarray) -> np.ndarray:
         rho = s / (1.0 - s) if s < 0.5 else 1.0
@@ -457,16 +377,10 @@ def solve_linear(
     """Optimal linear (volumetric-only) tariff with expected surplus F.
 
     Valid in the large-F regime phi_bar(pi*) <= F <= phi_bar(pi_M): below it
-    raises InvalidRegime, above it InfeasibleTarget. Linear demand takes the
-    closed form of `ramsey_batch`. Generic demand bisects the markup
-    intensity s = rho/(1+rho) over [0, 1/2] (the low-markup branch, on which
-    the collected margin increases monotonically) until the surplus matches F.
+    raises InvalidRegime, above it InfeasibleTarget. Linear demand takes
+    the closed-form markup; generic demand bisects it (`_ramsey_solve`).
     """
-    if isinstance(model, LinearDemandModel):
-        shares, batch = ramsey_batch(model, [F], config)
-        s, pi, achieved = float(shares[0]), batch.row(0), float(batch.margins[0])
-    else:
-        s, pi, achieved = _bisect_ramsey(model, F, config)
+    s, pi, achieved = _ramsey_solve(model, F, config)
     rho = s / (1.0 - s)
     gamma = 1.0 / (1.0 - rho) if rho < 1.0 else math.inf
     _warn_on_sign(model, pi, "linear tariff")
@@ -478,8 +392,15 @@ def _flat_phi(model: DemandModel, rate: float) -> float:
 
 
 def _flat_monopoly_rate(model: DemandModel, config: SolverConfig) -> float:
-    """Generic demand: expand a bracket past the peak, then ternary-search
-    the concave margin."""
+    if isinstance(model, LinearDemandModel):
+        ones = np.ones(model.periods)
+        g1 = model.G @ ones
+        return float(
+            (ones @ model.scenarios.omega_bar + model.scenarios.lambda_bar @ g1)
+            / (2.0 * float(ones @ g1))
+        )
+    # generic demand: expand a bracket past the peak, then ternary-search the
+    # concave margin
     lo = 0.0
     hi = max(1.0, 2.0 * float(model.scenarios.lambda_bar.mean()))
     while _flat_phi(model, hi) > _flat_phi(model, hi * 0.5):
@@ -498,15 +419,45 @@ def _flat_monopoly_rate(model: DemandModel, config: SolverConfig) -> float:
     return 0.5 * (lo + hi)
 
 
+def _flat_closed_root(model: LinearDemandModel, peak: float, target: float) -> float:
+    """Linear demand: the low root of the flat margin's quadratic.
+
+    phi_bar(r 1) = -a r^2 + b r - c0 with a = 1'G1, c0 = lam_bar'omega_bar
+    + tr(Sigma) and peak rate p = b / 2a, so the rate meeting `target` is
+    r = p - sqrt(p^2 - c/a), c = c0 + target; a target above the peak margin
+    is met at the peak.
+    """
+    ss = model.scenarios
+    ones = np.ones(model.periods)
+    a = float(ones @ (model.G @ ones))
+    c = min(float(ss.lambda_bar @ ss.omega_bar) + ss.trace_sigma + target,
+            a * peak * peak)
+    # sqrt(p^2 - c/a) from w = sqrt(|c| / a), scaled by the larger of |p| and
+    # w so that no square overflows, even at a target near -1e308
+    w = math.sqrt(abs(c)) / math.sqrt(a)
+    scale = max(w, abs(peak), np.finfo(float).tiny)
+    p_s, w_s = peak / scale, w / scale
+    root = scale * math.sqrt(max(p_s * p_s - math.copysign(w_s * w_s, c), 0.0))
+    # p - root, without cancelling p against root when p > 0
+    return c / (a * (peak + root)) if peak > 0 else peak - root
+
+
 def _flat_low_root(model: DemandModel, target: float, config: SolverConfig) -> float:
-    """Generic demand: lowest rate whose flat margin hits `target`."""
+    """Lowest rate whose flat margin hits `target` (the low-markup root).
+
+    Linear demand takes the closed form; generic demand walks left from the
+    peak until the margin falls below the target, then bisects on the
+    increasing branch.
+    """
     _require_finite(target)
     rate_m = _flat_monopoly_rate(model, config)
     phi_max = _flat_phi(model, rate_m)
     if target > phi_max + config.rs_tolerance(target):
         raise InfeasibleTarget(target, (-math.inf, phi_max))
-    # walk left from the peak until the margin falls below the target,
-    # then bisect on the increasing branch
+    if isinstance(model, LinearDemandModel):
+        rate = _flat_closed_root(model, rate_m, target)
+        _band_checked(model, np.full(model.periods, rate), target, config)
+        return rate
     step = max(1.0, abs(rate_m))
     lo = rate_m - step
     while _flat_phi(model, lo) > target:
@@ -520,56 +471,12 @@ def _flat_low_root(model: DemandModel, target: float, config: SolverConfig) -> f
     )[0]
 
 
-def flat_batch(
-    model: LinearDemandModel,
-    targets,
-    config: SolverConfig = DEFAULT_CONFIG,
-    connection_charge: float = 0.0,
-) -> TargetBatch:
-    """`solve_flat_linear` at every target, in closed form.
-
-    The flat margin is phi_bar(r 1) = -a r^2 + b r - c0 with a = 1'G1,
-    b = 1'omega_bar + lam_bar'G1 and c0 = lam_bar'omega_bar + tr(Sigma), so
-    the rate is the low root of a r^2 - b r + c = 0, c = c0 + F:
-    r = p - sqrt(p^2 - c/a) around the peak rate p = b / 2a. A target above
-    the peak margin is met at the peak. With a `connection_charge`
-    (adjusted-flat), the volumetric part meets F - M * connection_charge.
-    """
-    residuals = np.asarray(targets, dtype=float) - model.customers * connection_charge
-    ss = model.scenarios
-    ones = np.ones(model.periods)
-    g1 = model.G @ ones
-    a = float(ones @ g1)
-    peak = float((ones @ ss.omega_bar + ss.lambda_bar @ g1) / (2.0 * a))
-    phi_max = _flat_phi(model, peak)
-    c0 = float(ss.lambda_bar @ ss.omega_bar) + ss.trace_sigma
-    # a non-finite target gets a placeholder row; its error is set by the
-    # batch check
-    finite = np.nan_to_num(residuals, nan=0.0, posinf=0.0, neginf=0.0)
-    c = np.minimum(c0 + finite, a * peak * peak)
-    # sqrt(p^2 - c/a) from w = sqrt(|c| / a), scaled by the larger of |p| and
-    # w so that no square overflows, even at a target near -1e308
-    w = np.sqrt(np.abs(c)) / math.sqrt(a)
-    scale = np.maximum(w, max(abs(peak), np.finfo(float).tiny))
-    root = scale * np.sqrt(
-        np.maximum((peak / scale) ** 2 - np.sign(c) * (w / scale) ** 2, 0.0)
-    )
-    # p - root, without cancelling p against root when p > 0
-    rates = c / (a * (peak + root)) if peak > 0 else peak - root
-    prices = np.repeat(rates[:, np.newaxis], model.periods, axis=1)
-    return _checked_batch(
-        model, residuals, prices, connection_charge, (-math.inf, phi_max), config
-    )
-
-
 def solve_flat_linear(
     model: DemandModel, F: float, config: SolverConfig = DEFAULT_CONFIG
 ) -> Tariff:
     """Optimized flat volumetric tariff: lowest flat rate with margin F."""
-    if isinstance(model, LinearDemandModel):
-        pi = flat_batch(model, [F], config).row(0)
-    else:
-        pi = np.full(model.periods, _flat_low_root(model, F, config))
+    rate = _flat_low_root(model, F, config)
+    pi = np.full(model.periods, rate)
     _warn_on_sign(model, pi, "flat linear tariff")
     return Tariff(connection_charge=0.0, prices=pi, family="flat-linear")
 
@@ -615,11 +522,9 @@ def solve_adjusted_flat(
     delta solves phi_bar(1 * (base_rate + delta)) + M * A_fixed = F at the
     low-markup root; at F equal to the baseline's own surplus, delta is 0.
     """
-    if isinstance(model, LinearDemandModel):
-        pi = flat_batch(model, [F], config, A_fixed).row(0)
-    else:
-        residual = F - model.customers * A_fixed
-        pi = np.full(model.periods, _flat_low_root(model, residual, config))
+    residual = F - model.customers * A_fixed
+    rate = _flat_low_root(model, residual, config)
+    pi = np.full(model.periods, rate)
     _warn_on_sign(model, pi, "adjusted flat tariff")
     return Tariff(connection_charge=A_fixed, prices=pi, family="adjusted-flat")
 

@@ -95,6 +95,18 @@ class TestSweep:
                 tol = 1e-8 * max(1.0, abs(p.F))
                 assert abs(p.delta_rs - (p.F - front.baseline_rs)) <= tol
 
+    def test_negative_prices_warn_with_the_solver_context(self, i2_model, i2_baseline):
+        with pytest.warns(tl.PriceSignWarning) as record:
+            fronts = tl.sweep(
+                i2_model, i2_baseline, {"flat-linear", "adjusted-flat"}, [-40.0],
+                fixed_charge=2.0, base_rate=1.5,
+            )
+        assert all(p.tariff.prices[0] < 0 for f in fronts for p in f.points)
+        assert [str(w.message) for w in record] == [
+            "flat linear tariff: price vector has negative entries",
+            "adjusted flat tariff: price vector has negative entries",
+        ]
+
     def test_adjusted_flat_needs_flat_baseline(self, i2_model, i2_baseline):
         with pytest.raises(ValueError, match="flat baseline"):
             tl.sweep(i2_model, i2_baseline, {"adjusted-flat"}, [1.0])
