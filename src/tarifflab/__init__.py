@@ -56,7 +56,6 @@ from .oracle import (
 from .solvers import (
     Assumption1Report,
     RamseySolution,
-    SolverConfig,
     check_assumption1,
     monopoly_price,
     planner_bound_gain,

@@ -34,8 +34,6 @@ from .model import (
 )
 from .oracle import GridSpec, grid_argmax_welfare_bands, settle_scenarios
 from .solvers import (
-    DEFAULT_CONFIG,
-    SolverConfig,
     check_assumption1,
     monopoly_price,
     planner_bound_gain,
@@ -59,8 +57,9 @@ class CheckResult:
         return self.status == "FAIL"
 
 
-def fd_hessian(f, pi: np.ndarray, h_scale: float = HESS_H_SCALE) -> np.ndarray:
-    """Four-point finite-difference Hessian of f at pi.
+def fd_hessian(f, pi: np.ndarray) -> np.ndarray:
+    """Four-point finite-difference Hessian of f at pi, with steps
+    h_i = HESS_H_SCALE * max(1, |pi_i|).
 
     f maps a (K, N) stack of price vectors to K values. Row i of the
     stencil (pi +- h_i e_i, then pi +- h_i e_i +- h_j e_j for j > i) is
@@ -69,7 +68,7 @@ def fd_hessian(f, pi: np.ndarray, h_scale: float = HESS_H_SCALE) -> np.ndarray:
     """
     pi = np.asarray(pi, dtype=float)
     n = pi.size
-    hs = np.array([h_scale * max(1.0, abs(pi[t])) for t in range(n)])
+    hs = np.array([HESS_H_SCALE * max(1.0, abs(pi[t])) for t in range(n)])
     out = np.empty((n, n))
     f0 = f(pi[np.newaxis])[0]
     for i in range(n):
@@ -91,7 +90,7 @@ def fd_hessian(f, pi: np.ndarray, h_scale: float = HESS_H_SCALE) -> np.ndarray:
     return out
 
 
-def _sample_prices(model: LinearDemandModel, count: int, seed: int = 0) -> np.ndarray:
+def _sample_prices(model: LinearDemandModel, count: int, seed: int) -> np.ndarray:
     """Seeded random price vectors between the cost level and the monopoly range."""
     rng = np.random.default_rng(seed)
     lam = model.scenarios.lambda_bar
@@ -101,16 +100,11 @@ def _sample_prices(model: LinearDemandModel, count: int, seed: int = 0) -> np.nd
     return lo + rng.random((count, model.periods)) * (hi - lo)
 
 
-def check_gradient_identity(
-    model: LinearDemandModel,
-    baseline: Tariff,
-    count: int = 10,
-    rel_tol: float = 1e-6,
-    seed: int = 0,
-) -> CheckResult:
+def check_gradient_identity(model: LinearDemandModel, baseline: Tariff) -> CheckResult:
     """FD gradient of the consumer-surplus gain must equal -E[D(pi)]."""
+    rel_tol = 1e-6
     worst = 0.0
-    for pi in _sample_prices(model, count, seed):
+    for pi in _sample_prices(model, 10, seed=0):
         grad = fd_gradient(
             lambda p: consumer_surplus_gain(model, p, baseline), pi, stacked=True
         )
@@ -123,16 +117,12 @@ def check_gradient_identity(
     )
 
 
-def check_hessian_identity(
-    model: LinearDemandModel,
-    count: int = 3,
-    rel_tol: float = 1e-5,
-    seed: int = 1,
-) -> CheckResult:
+def check_hessian_identity(model: LinearDemandModel) -> CheckResult:
     """FD Hessian of the retailer surplus must be -2G, eigenvalues negative."""
+    rel_tol = 1e-5
     worst = 0.0
     eig_ok = True
-    for pi in _sample_prices(model, count, seed):
+    for pi in _sample_prices(model, 3, seed=1):
         hess = fd_hessian(lambda p: phi_bar(model, p), pi)
         scale = max(1.0, float(np.abs(model.G).max()))
         worst = max(worst, float(np.abs(hess + 2.0 * model.G).max()) / scale)
@@ -146,12 +136,11 @@ def check_hessian_identity(
     )
 
 
-def check_phi_settlement(
-    model: LinearDemandModel, count: int = 5, rel_tol: float = 1e-10, seed: int = 2
-) -> CheckResult:
+def check_phi_settlement(model: LinearDemandModel) -> CheckResult:
     """Analytic margin must match the per-scenario settlement average."""
+    rel_tol = 1e-10
     worst = 0.0
-    for pi in _sample_prices(model, count, seed):
+    for pi in _sample_prices(model, 5, seed=2):
         tariff = Tariff(connection_charge=0.0, prices=pi, family="two-part-optimal")
         settled = settle_scenarios(model, tariff).mean_margin
         analytic = phi_bar(model, pi)
@@ -162,11 +151,9 @@ def check_phi_settlement(
     )
 
 
-def check_assumption1_result(
-    model: LinearDemandModel, config: SolverConfig = DEFAULT_CONFIG
-) -> CheckResult:
+def check_assumption1_result(model: LinearDemandModel) -> CheckResult:
     lam = model.scenarios.lambda_bar
-    pim = monopoly_price(model, config, verify=False)
+    pim = monopoly_price(model, verify=False)
     samples = [lam, 0.5 * (lam + pim), pim]
     report = check_assumption1(model, samples)
     eigs = ", ".join(f"{s.max_symmetric_eigenvalue:.3e}" for s in report.samples)
@@ -188,9 +175,7 @@ def rs_cell_scale(model: DemandModel, pi: np.ndarray, step: float) -> float:
 
 
 def check_oracles(
-    model: LinearDemandModel,
-    baseline: Tariff,
-    config: SolverConfig = DEFAULT_CONFIG,
+    model: LinearDemandModel, baseline: Tariff
 ) -> tuple[CheckResult, CheckResult]:
     """Two-part and Ramsey solutions against one exhaustive price-grid pass.
 
@@ -205,7 +190,7 @@ def check_oracles(
             CheckResult("oracle-two-part", "SKIP", detail),
             CheckResult("oracle-linear", "SKIP", detail),
         )
-    pim = monopoly_price(model, config, verify=False)
+    pim = monopoly_price(model, verify=False)
     hi = float(max(np.max(pim) * 1.25, 1.0))
     grid = GridSpec.cube(0.0, hi, steps=400, dims=model.periods)
     step = grid.max_step
@@ -213,7 +198,7 @@ def check_oracles(
     pistar = solve_two_part(model, 0.0).prices
     lo = phi_bar(model, model.scenarios.lambda_bar)
     target = 0.5 * (lo + phi_bar(model, pim))
-    solution = solve_linear(model, target, config)
+    solution = solve_linear(model, target)
     cell = rs_cell_scale(model, solution.prices, step)
     bands = [mult * cell for mult in BAND_LADDER]
     free, *banded = grid_argmax_welfare_bands(
@@ -245,9 +230,8 @@ def check_oracles(
     )
 
 
-def check_planner_bound(
-    model: LinearDemandModel, baseline: Tariff, tol: float = 1e-9
-) -> CheckResult:
+def check_planner_bound(model: LinearDemandModel, baseline: Tariff) -> CheckResult:
+    tol = 1e-9
     tp = solve_two_part(model, 0.0)
     sw_star = welfare_gains(model, tp, baseline).delta_sw
     with warnings.catch_warnings(record=True) as caught:
@@ -263,9 +247,7 @@ def check_planner_bound(
     )
 
 
-def run_model_checks(
-    payload: ModelFilePayload, config: SolverConfig = DEFAULT_CONFIG
-) -> list[CheckResult]:
+def run_model_checks(payload: ModelFilePayload) -> list[CheckResult]:
     """Full battery on a model-file payload; structural G checks run first."""
     results = []
     G = payload.G
@@ -301,11 +283,11 @@ def run_model_checks(
             family="two-part-optimal",
         )
 
-    results.append(check_assumption1_result(model, config))
+    results.append(check_assumption1_result(model))
     results.append(check_gradient_identity(model, baseline))
     results.append(check_hessian_identity(model))
     results.append(check_phi_settlement(model))
 
-    results.extend(check_oracles(model, baseline, config))
+    results.extend(check_oracles(model, baseline))
     results.append(check_planner_bound(model, baseline))
     return results

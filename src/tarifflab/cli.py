@@ -43,7 +43,6 @@ from .model import (
     welfare_gains,
 )
 from .pareto import FAMILIES, ParetoFront, ParetoPoint, default_revenue_grid, sweep
-from .solvers import DEFAULT_CONFIG
 from .svg import render_fronts
 
 # options whose value may be a negative number such as -2.5e4 or -inf
@@ -215,7 +214,7 @@ def cmd_solve(args) -> int:
     F = _resolve_target(args.target_rs, model, baseline)
     family = _ALIASES[args.family]
     tariff, diagnostics = FAMILIES[family].solve(
-        model, F, DEFAULT_CONFIG, baseline.connection_charge, float(baseline.prices[0])
+        model, F, baseline.connection_charge, float(baseline.prices[0])
     )
     report = welfare_gains(model, tariff, baseline)
     print_solution(family, F, tariff, report, diagnostics)

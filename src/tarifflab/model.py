@@ -29,19 +29,17 @@ TARIFF_FAMILIES = (
 _SYMMETRY_TOL = 1e-12
 
 
-def central_difference(
-    f, pi, h_scale: float = 1e-5, *, stacked: bool = False
-) -> np.ndarray:
+def central_difference(f, pi, *, stacked: bool = False) -> np.ndarray:
     """Central-difference derivative of f at pi, one column per coordinate.
 
-    The step is h_scale * max(1, |pi_t|), the package-wide finite-difference
+    The step is 1e-5 * max(1, |pi_t|), the package-wide finite-difference
     convention. Scalar f gives the gradient; vector f gives the Jacobian.
     f is called on each point pi + h_t e_t, then each pi - h_t e_t; with
     `stacked` it is called once, on the (2N, N) stack of those points.
     """
     pi = np.asarray(pi, dtype=float)
     n = pi.size
-    h = h_scale * np.maximum(1.0, np.abs(pi))
+    h = 1e-5 * np.maximum(1.0, np.abs(pi))
     points = np.repeat(pi[np.newaxis], 2 * n, axis=0)
     points[np.arange(n), np.arange(n)] += h
     points[np.arange(n, 2 * n), np.arange(n)] -= h
@@ -452,12 +450,13 @@ def welfare_gains(
     )
 
 
-def elasticity_matrix(model: DemandModel, pi, demand_floor: float = 1e-9) -> ElasticityMatrix:
+def elasticity_matrix(model: DemandModel, pi) -> ElasticityMatrix:
     """Price elasticities eps[k, t] = (dE[D_k]/d pi_t) * pi_t / E[D_k].
 
     For linear demand eps[k, t] = -G[k, t] pi_t / E[D_k]. Raises
-    ZeroExpectedDemand if any expected demand is at or below `demand_floor`.
+    ZeroExpectedDemand if any expected demand is at or below 1e-9.
     """
+    demand_floor = 1e-9
     pi = _as_price_vector(model, pi)
     dbar = model.mean_demand(pi)
     if (dbar <= demand_floor).any():

@@ -17,9 +17,7 @@ from .model import (
     welfare_gains,
 )
 from .solvers import (
-    DEFAULT_CONFIG,
     RamseySolution,
-    SolverConfig,
     adjusted_flat_delta,
     monopoly_price,
     phi_bar,
@@ -35,10 +33,11 @@ from .solvers import (
 class Family:
     """One tariff family: its name, CLI aliases, plot colour and solver.
 
-    `solve(model, F, config, fixed_charge, base_rate)` returns the tariff and
-    the diagnostics `solve` prints. `fixed_charge` is the frozen connection
+    `solve(model, F, fixed_charge, base_rate)` returns the tariff and the
+    diagnostics `solve` prints. `fixed_charge` is the frozen connection
     charge of the fixed-charge families; `base_rate` is adjusted-flat's rate
-    before adjustment.
+    before adjustment. It takes no tolerance: every family solves to the
+    fixed tolerances of `solvers`.
     """
 
     name: str
@@ -52,28 +51,28 @@ def _ramsey_diagnostics(solution: RamseySolution) -> dict[str, float]:
             "achieved_rs": solution.achieved_rs}
 
 
-def _two_part(model, F, config, fixed_charge, base_rate):
-    return solve_two_part(model, F, config), {}
+def _two_part(model, F, fixed_charge, base_rate):
+    return solve_two_part(model, F), {}
 
 
-def _linear(model, F, config, fixed_charge, base_rate):
-    solution = solve_linear(model, F, config)
+def _linear(model, F, fixed_charge, base_rate):
+    solution = solve_linear(model, F)
     return solution.tariff, _ramsey_diagnostics(solution)
 
 
-def _flat(model, F, config, fixed_charge, base_rate):
-    return solve_flat_linear(model, F, config), {}
+def _flat(model, F, fixed_charge, base_rate):
+    return solve_flat_linear(model, F), {}
 
 
-def _fixed_A(model, F, config, fixed_charge, base_rate):
-    tariff, solution = solve_fixed_A_ramsey(model, F, fixed_charge, config)
+def _fixed_A(model, F, fixed_charge, base_rate):
+    tariff, solution = solve_fixed_A_ramsey(model, F, fixed_charge)
     return tariff, _ramsey_diagnostics(solution)
 
 
-def _adjusted_flat(model, F, config, fixed_charge, base_rate):
+def _adjusted_flat(model, F, fixed_charge, base_rate):
     if base_rate is None:
         raise ValueError("adjusted-flat sweeps need a flat baseline rate")
-    tariff = solve_adjusted_flat(model, F, base_rate, fixed_charge, config)
+    tariff = solve_adjusted_flat(model, F, base_rate, fixed_charge)
     return tariff, {"delta": adjusted_flat_delta(tariff, base_rate)}
 
 
@@ -127,12 +126,10 @@ class FrontSlope:
     second_difference: float
 
 
-def default_revenue_grid(
-    model: LinearDemandModel, steps: int = 41, config: SolverConfig = DEFAULT_CONFIG
-) -> np.ndarray:
+def default_revenue_grid(model: LinearDemandModel, steps: int = 41) -> np.ndarray:
     """Evenly spaced targets spanning the linear-tariff feasibility range."""
     lo = phi_bar(model, model.scenarios.lambda_bar)
-    hi = phi_bar(model, monopoly_price(model, config, verify=False))
+    hi = phi_bar(model, monopoly_price(model, verify=False))
     return np.linspace(lo, hi, steps)
 
 
@@ -141,7 +138,6 @@ def sweep(
     baseline: Tariff,
     families,
     F_grid,
-    config: SolverConfig = DEFAULT_CONFIG,
     *,
     fixed_charge: float | None = None,
     base_rate: float | None = None,
@@ -171,7 +167,7 @@ def sweep(
 
     def solve_point(family: Family, F: float) -> ParetoPoint:
         try:
-            tariff, _ = family.solve(model, F, config, fixed_charge, base_rate)
+            tariff, _ = family.solve(model, F, fixed_charge, base_rate)
         except (InfeasibleTarget, InvalidRegime):
             return ParetoPoint(
                 F=F, delta_cs=math.nan, delta_rs=math.nan, delta_sw=math.nan,

@@ -12,9 +12,14 @@ and monopoly prices lie on the ray from the expected wholesale price to the
 satiation price, where the margin is a scalar quadratic in the markup, and
 each flat rate is the low root of another scalar quadratic. Any other
 `DemandModel` iterates: an outer bisection of the markup intensity against
-the target around an inner damped fixed point on the price vector, and a
-bracket walk with bisection (after a ternary search for the peak) for flat
-rates. Every path ends with the same revenue band check.
+the target around an inner damped fixed point on the price vector, and for
+flat rates a ternary search for the peak, bracketed by walks out to both
+sides, then a walk left from the peak and a bisection for the root. The
+walks double their step with no cap. Every path ends with the same revenue
+band check, |rs - F| <= 1e-8 * max(1, |F|) (`rs_tolerance`).
+
+The tolerances are fixed module constants, not options: they are not part
+of a tariff's definition.
 """
 
 from __future__ import annotations
@@ -46,39 +51,24 @@ from .model import (
 _COND_LIMIT = 1e13
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the fixed-point and bisection solvers.
-
-    `rs_tol` is relative and bands every path, closed forms included: a
-    solve whose prices miss |rs - F| <= rs_tol * max(1, |F|) raises
-    NonConvergence. The other knobs govern only the iterative paths of
-    generic demand models. `damping` starts each fixed point and is halved
-    whenever the residual grows. `s_tol` is the width, relative to
-    max(1, |hi|), at which a bisection interval stops shrinking; if its
-    midpoint then misses the `rs_tol` band, halving goes on until the
-    interval has no interior point.
-    """
-
-    fp_tol: float = 1e-10
-    max_iterations: int = 200
-    damping: float = 1.0
-    rs_tol: float = 1e-8
-    s_tol: float = 1e-13
-
-    def __post_init__(self):
-        if self.fp_tol <= 0 or self.rs_tol <= 0 or self.s_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
-
-    def rs_tolerance(self, target: float) -> float:
-        return self.rs_tol * max(1.0, abs(target))
+# Tolerances of every solve, read at call time. `_RS_TOL` is relative and
+# bands every path, closed forms included: prices that miss
+# |rs - F| <= _RS_TOL * max(1, |F|) raise NonConvergence. The rest govern
+# only the iterative paths of generic demand models: a damped fixed point
+# (damping starts at 1, halved whenever the residual grows) stops once its
+# update is within `_FP_TOL` of the price, or raises after
+# `_MAX_ITERATIONS`; a bisection interval stops shrinking at the width
+# `_S_TOL` * max(1, |hi|), and if its midpoint then misses the rs band,
+# halving goes on until the interval has no interior point.
+_RS_TOL = 1e-8
+_S_TOL = 1e-13
+_FP_TOL = 1e-10
+_MAX_ITERATIONS = 200
 
 
-DEFAULT_CONFIG = SolverConfig()
+def rs_tolerance(target: float) -> float:
+    """Width of the revenue band every solve must land in around `target`."""
+    return _RS_TOL * max(1.0, abs(target))
 
 
 @dataclass(frozen=True)
@@ -140,13 +130,11 @@ def _require_finite(target: float) -> None:
         raise ValueError(f"revenue target must be finite, got {target!r}")
 
 
-def _band_checked(
-    model: DemandModel, pi: np.ndarray, target: float, config: SolverConfig
-) -> float:
+def _band_checked(model: DemandModel, pi: np.ndarray, target: float) -> float:
     """Margin of the closed-form `pi`, or NonConvergence if it misses the
-    rs_tol band around `target`."""
+    rs band around `target`."""
     achieved = phi_bar(model, pi)
-    if abs(achieved - target) > config.rs_tolerance(target):
+    if abs(achieved - target) > rs_tolerance(target):
         raise NonConvergence(
             f"closed form missed the revenue band at rs {achieved!r} "
             f"for target {target!r}"
@@ -161,7 +149,6 @@ def _bisect_target(
     hi: float,
     start: np.ndarray | None,
     target: float,
-    config: SolverConfig,
 ) -> tuple[float, np.ndarray, float]:
     """Bisect [lo, hi] for the point whose prices collect `target`.
 
@@ -169,16 +156,16 @@ def _bisect_target(
     increases in x; `start` is the price at the current lower end, a warm
     start for iterative inner solves. Returns (x, prices, achieved margin).
     """
-    tol = config.rs_tolerance(target)
+    tol = rs_tolerance(target)
     pi_lo = start
     while True:
         x = 0.5 * (lo + hi)
         pi = price_at(x, pi_lo)
         achieved = phi_bar(model, pi)
-        # past the s_tol width, halving goes on only while the margin misses
+        # past the _S_TOL width, halving goes on only while the margin misses
         # the revenue band (a steep margin near a small target) and the
         # interval still has an interior point
-        if hi - lo <= config.s_tol * max(1.0, abs(hi)) and (
+        if hi - lo <= _S_TOL * max(1.0, abs(hi)) and (
             abs(achieved - target) <= tol or not lo < x < hi
         ):
             break
@@ -202,19 +189,17 @@ def _solve_mean_jacobian(jbar: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularJacobian(str(exc)) from None
 
 
-def _damped_fixed_point(
-    step, start: np.ndarray, config: SolverConfig
-) -> np.ndarray:
+def _damped_fixed_point(step, start: np.ndarray) -> np.ndarray:
     """Iterate pi <- (1-d) pi + d step(pi) until the update stalls below tol."""
     pi = np.asarray(start, dtype=float).copy()
-    damping = config.damping
+    damping = 1.0
     prev_residual = math.inf
     prev_update = np.zeros_like(pi)
-    for _ in range(config.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         target = step(pi)
         update = target - pi
         residual = float(np.max(np.abs(update)))
-        if residual <= config.fp_tol * max(1.0, float(np.max(np.abs(pi)))):
+        if residual <= _FP_TOL * max(1.0, float(np.max(np.abs(pi)))):
             return target
         # a non-decreasing residual (stall, or a period-2 cycle) or an update
         # that turns back on the last one (overshoot) means damp harder; the
@@ -225,12 +210,12 @@ def _damped_fixed_point(
         prev_residual, prev_update = residual, update
         pi = (1.0 - damping) * pi + damping * target
     raise NonConvergence(
-        f"fixed point did not converge in {config.max_iterations} iterations "
+        f"fixed point did not converge in {_MAX_ITERATIONS} iterations "
         f"(last update {prev_residual!r})"
     )
 
 
-def _two_part_price(model: DemandModel, config: SolverConfig) -> np.ndarray:
+def _two_part_price(model: DemandModel) -> np.ndarray:
     """Price of the optimal two-part tariff.
 
     Linear demand: with deterministic price response the Jacobian is
@@ -255,15 +240,11 @@ def _two_part_price(model: DemandModel, config: SolverConfig) -> np.ndarray:
         )
         return lam_bar + _solve_mean_jacobian(jbar, weighted)
 
-    return _damped_fixed_point(step, lam_bar, config)
+    return _damped_fixed_point(step, lam_bar)
 
 
 def _markup_price(
-    model: DemandModel,
-    rho: float,
-    pistar: np.ndarray,
-    start: np.ndarray,
-    config: SolverConfig,
+    model: DemandModel, rho: float, pistar: np.ndarray, start: np.ndarray
 ) -> np.ndarray:
     """Damped fixed point of the markup condition pi <- pi* - rho E[dD]^-1 E[D].
 
@@ -276,12 +257,10 @@ def _markup_price(
             model.mean_jacobian(pi), model.mean_demand(pi)
         )
 
-    return _damped_fixed_point(step, start, config)
+    return _damped_fixed_point(step, start)
 
 
-def solve_two_part(
-    model: DemandModel, F: float, config: SolverConfig = DEFAULT_CONFIG
-) -> Tariff:
+def solve_two_part(model: DemandModel, F: float) -> Tariff:
     """Optimal two-part tariff meeting the revenue target F ($/cycle).
 
     The connection charge spreads the gap between the target and the
@@ -291,18 +270,13 @@ def solve_two_part(
     _require_finite(F)
     if model.customers < 1:
         raise ValueError("a two-part tariff needs at least one customer")
-    pi = _two_part_price(model, config)
+    pi = _two_part_price(model)
     charge = (F - phi_bar(model, pi)) / model.customers
     _warn_on_sign(model, pi, "two-part tariff")
     return Tariff(connection_charge=charge, prices=pi, family="two-part-optimal")
 
 
-def monopoly_price(
-    model: DemandModel,
-    config: SolverConfig = DEFAULT_CONFIG,
-    *,
-    verify: bool = True,
-) -> np.ndarray:
+def monopoly_price(model: DemandModel, *, verify: bool = True) -> np.ndarray:
     """Price maximizing the expected volumetric margin (feasibility frontier).
 
     Linear demand: the midpoint of the satiation price and the expected
@@ -313,8 +287,8 @@ def monopoly_price(
     if isinstance(model, LinearDemandModel):
         pim = 0.5 * (model.satiation_price() + model.scenarios.lambda_bar)
     else:
-        pistar = _two_part_price(model, config)
-        pim = _markup_price(model, 1.0, pistar, pistar, config)
+        pistar = _two_part_price(model)
+        pim = _markup_price(model, 1.0, pistar, pistar)
 
     if verify:
         base = phi_bar(model, pim)
@@ -327,9 +301,7 @@ def monopoly_price(
     return pim
 
 
-def _ramsey_solve(
-    model: DemandModel, F: float, config: SolverConfig
-) -> tuple[float, np.ndarray, float]:
+def _ramsey_solve(model: DemandModel, F: float) -> tuple[float, np.ndarray, float]:
     """Ramsey price collecting F: (s, prices, achieved margin), s = rho/(1+rho).
 
     Linear demand: the price is pi* + s d with d = G^-1 omega_bar - pi*, the
@@ -342,11 +314,11 @@ def _ramsey_solve(
     increases monotonically).
     """
     _require_finite(F)
-    pistar = _two_part_price(model, config)
+    pistar = _two_part_price(model)
     phi_star = phi_bar(model, pistar)
-    pim = monopoly_price(model, config, verify=False)
+    pim = monopoly_price(model, verify=False)
     phi_max = phi_bar(model, pim)
-    tol = config.rs_tolerance(F)
+    tol = rs_tolerance(F)
     if F < phi_star - tol:
         raise InvalidRegime(F, phi_star)
     if F > phi_max + tol:
@@ -362,25 +334,23 @@ def _ramsey_solve(
             c = min(max(c, 0.0), 0.25)
             s = 2.0 * c / (1.0 + math.sqrt(1.0 - 4.0 * c))
         pi = pistar + s * d
-        return s, pi, _band_checked(model, pi, F, config)
+        return s, pi, _band_checked(model, pi, F)
 
     def price_at(s: float, start: np.ndarray) -> np.ndarray:
         rho = s / (1.0 - s) if s < 0.5 else 1.0
-        return _markup_price(model, rho, pistar, start, config)
+        return _markup_price(model, rho, pistar, start)
 
-    return _bisect_target(model, price_at, 0.0, 0.5, pistar, F, config)
+    return _bisect_target(model, price_at, 0.0, 0.5, pistar, F)
 
 
-def solve_linear(
-    model: DemandModel, F: float, config: SolverConfig = DEFAULT_CONFIG
-) -> RamseySolution:
+def solve_linear(model: DemandModel, F: float) -> RamseySolution:
     """Optimal linear (volumetric-only) tariff with expected surplus F.
 
     Valid in the large-F regime phi_bar(pi*) <= F <= phi_bar(pi_M): below it
     raises InvalidRegime, above it InfeasibleTarget. Linear demand takes
     the closed-form markup; generic demand bisects it (`_ramsey_solve`).
     """
-    s, pi, achieved = _ramsey_solve(model, F, config)
+    s, pi, achieved = _ramsey_solve(model, F)
     rho = s / (1.0 - s)
     gamma = 1.0 / (1.0 - rho) if rho < 1.0 else math.inf
     _warn_on_sign(model, pi, "linear tariff")
@@ -391,7 +361,31 @@ def _flat_phi(model: DemandModel, rate: float) -> float:
     return phi_bar(model, np.full(model.periods, float(rate)))
 
 
-def _flat_monopoly_rate(model: DemandModel, config: SolverConfig) -> float:
+def _flat_walk(
+    model: DemandModel, start: float, direction: float, level: float
+) -> float:
+    """First rate start + direction * max(1, |start|) * 2^k, k = 0, 1, ...,
+    whose flat margin is at most `level`.
+
+    The walk has no cap: it raises NonConvergence only once the rate or its
+    margin stops being finite, as for demand whose margin never turns down.
+    """
+    step = max(1.0, abs(start))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            rate = start + direction * step
+            margin = _flat_phi(model, rate) if math.isfinite(rate) else math.nan
+            if not math.isfinite(margin):
+                raise NonConvergence(
+                    f"flat-rate bracket did not close: margin {margin!r} at "
+                    f"rate {rate!r}"
+                )
+            if margin <= level:
+                return rate
+            step *= 2.0
+
+
+def _flat_monopoly_rate(model: DemandModel) -> float:
     if isinstance(model, LinearDemandModel):
         ones = np.ones(model.periods)
         g1 = model.G @ ones
@@ -399,14 +393,13 @@ def _flat_monopoly_rate(model: DemandModel, config: SolverConfig) -> float:
             (ones @ model.scenarios.omega_bar + model.scenarios.lambda_bar @ g1)
             / (2.0 * float(ones @ g1))
         )
-    # generic demand: expand a bracket past the peak, then ternary-search the
-    # concave margin
-    lo = 0.0
-    hi = max(1.0, 2.0 * float(model.scenarios.lambda_bar.mean()))
-    while _flat_phi(model, hi) > _flat_phi(model, hi * 0.5):
-        hi *= 2.0
-        if hi > 1e12:
-            raise NonConvergence("flat monopoly rate bracket did not close")
+    # generic demand: walk out both ways from the mean wholesale price until
+    # the margin is no higher than there, which brackets the peak of a
+    # concave margin wherever it lies, then ternary-search the bracket
+    start = float(model.scenarios.lambda_bar.mean())
+    level = _flat_phi(model, start)
+    lo = _flat_walk(model, start, -1.0, level)
+    hi = _flat_walk(model, start, 1.0, level)
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -414,7 +407,7 @@ def _flat_monopoly_rate(model: DemandModel, config: SolverConfig) -> float:
             lo = m1
         else:
             hi = m2
-        if hi - lo <= config.s_tol * max(1.0, abs(hi)):
+        if hi - lo <= _S_TOL * max(1.0, abs(hi)):
             break
     return 0.5 * (lo + hi)
 
@@ -442,7 +435,7 @@ def _flat_closed_root(model: LinearDemandModel, peak: float, target: float) -> f
     return c / (a * (peak + root)) if peak > 0 else peak - root
 
 
-def _flat_low_root(model: DemandModel, target: float, config: SolverConfig) -> float:
+def _flat_low_root(model: DemandModel, target: float) -> float:
     """Lowest rate whose flat margin hits `target` (the low-markup root).
 
     Linear demand takes the closed form; generic demand walks left from the
@@ -450,52 +443,36 @@ def _flat_low_root(model: DemandModel, target: float, config: SolverConfig) -> f
     increasing branch.
     """
     _require_finite(target)
-    rate_m = _flat_monopoly_rate(model, config)
+    rate_m = _flat_monopoly_rate(model)
     phi_max = _flat_phi(model, rate_m)
-    if target > phi_max + config.rs_tolerance(target):
+    if target > phi_max + rs_tolerance(target):
         raise InfeasibleTarget(target, (-math.inf, phi_max))
     if isinstance(model, LinearDemandModel):
         rate = _flat_closed_root(model, rate_m, target)
-        _band_checked(model, np.full(model.periods, rate), target, config)
+        _band_checked(model, np.full(model.periods, rate), target)
         return rate
-    step = max(1.0, abs(rate_m))
-    lo = rate_m - step
-    while _flat_phi(model, lo) > target:
-        step *= 2.0
-        lo = rate_m - step
-        if step > 1e12:
-            raise NonConvergence("flat-rate root bracket did not close")
+    lo = _flat_walk(model, rate_m, -1.0, target)
     return _bisect_target(
         model, lambda rate, _: np.full(model.periods, rate), lo, rate_m, None,
-        target, config,
+        target,
     )[0]
 
 
-def solve_flat_linear(
-    model: DemandModel, F: float, config: SolverConfig = DEFAULT_CONFIG
-) -> Tariff:
+def solve_flat_linear(model: DemandModel, F: float) -> Tariff:
     """Optimized flat volumetric tariff: lowest flat rate with margin F."""
-    rate = _flat_low_root(model, F, config)
+    rate = _flat_low_root(model, F)
     pi = np.full(model.periods, rate)
     _warn_on_sign(model, pi, "flat linear tariff")
     return Tariff(connection_charge=0.0, prices=pi, family="flat-linear")
 
 
-def solve_fixed_A_two_part(
-    model: DemandModel,
-    F: float,
-    A_fixed: float,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> Tariff:
+def solve_fixed_A_two_part(model: DemandModel, F: float, A_fixed: float) -> Tariff:
     """Two-part tariff with a frozen connection charge."""
-    return solve_fixed_A_ramsey(model, F, A_fixed, config)[0]
+    return solve_fixed_A_ramsey(model, F, A_fixed)[0]
 
 
 def solve_fixed_A_ramsey(
-    model: DemandModel,
-    F: float,
-    A_fixed: float,
-    config: SolverConfig = DEFAULT_CONFIG,
+    model: DemandModel, F: float, A_fixed: float
 ) -> tuple[Tariff, RamseySolution]:
     """Fixed-charge two-part tariff and the Ramsey solution of its prices.
 
@@ -503,7 +480,7 @@ def solve_fixed_A_ramsey(
     the optimal linear tariff at the residual target.
     """
     residual = F - model.customers * A_fixed
-    solution = solve_linear(model, residual, config)
+    solution = solve_linear(model, residual)
     tariff = Tariff(
         connection_charge=A_fixed, prices=solution.prices, family="fixed-A-two-part"
     )
@@ -511,11 +488,7 @@ def solve_fixed_A_ramsey(
 
 
 def solve_adjusted_flat(
-    model: DemandModel,
-    F: float,
-    base_rate: float,
-    A_fixed: float,
-    config: SolverConfig = DEFAULT_CONFIG,
+    model: DemandModel, F: float, base_rate: float, A_fixed: float
 ) -> Tariff:
     """Flat two-part tariff with frozen charge: rate base_rate + delta.
 
@@ -523,7 +496,7 @@ def solve_adjusted_flat(
     low-markup root; at F equal to the baseline's own surplus, delta is 0.
     """
     residual = F - model.customers * A_fixed
-    rate = _flat_low_root(model, residual, config)
+    rate = _flat_low_root(model, residual)
     pi = np.full(model.periods, rate)
     _warn_on_sign(model, pi, "adjusted flat tariff")
     return Tariff(connection_charge=A_fixed, prices=pi, family="adjusted-flat")
@@ -552,12 +525,7 @@ def check_assumption1(model: DemandModel, pi_samples) -> Assumption1Report:
     return Assumption1Report(samples=tuple(samples))
 
 
-def planner_bound_gain(
-    model: LinearDemandModel,
-    baseline: Tariff,
-    *,
-    correlation_threshold: float = 0.2,
-) -> float:
+def planner_bound_gain(model: LinearDemandModel, baseline: Tariff) -> float:
     """Welfare gain of pricing at the expected wholesale price.
 
     Under independence of prices and demand states this is the social
@@ -566,6 +534,7 @@ def planner_bound_gain(
     price/demand-state correlation, an IndependenceWarning flags that the
     bound interpretation does not apply (the value is still returned).
     """
+    correlation_threshold = 0.2
     ss = model.scenarios
     lam_sd = ss.lams.std(axis=0)
     om_sd = ss.omegas.std(axis=0)

@@ -7,6 +7,7 @@ import pytest
 
 import tarifflab as tl
 from tarifflab.cli import main
+from tarifflab.solvers import rs_tolerance
 from tarifflab.pareto import FAMILIES
 
 # every spelling `--family` and `--families` accept
@@ -394,7 +395,7 @@ class TestSolve:
         # the volumetric part meets its residual target inside the rs band
         residual = float(target) - model.customers * charge
         achieved = tl.phi_bar(model, prices)
-        assert abs(achieved - residual) <= tl.SolverConfig().rs_tolerance(residual)
+        assert abs(achieved - residual) <= rs_tolerance(residual)
 
 
 class TestPareto:

@@ -160,7 +160,7 @@ def test_every_family_matches_its_generic_twin(seed, frac, charge_frac):
 
     def run(m, family):
         try:
-            return family.solve(m, F, tl.SolverConfig(), a_fixed, base_rate)[0]
+            return family.solve(m, F, a_fixed, base_rate)[0]
         except (tl.InfeasibleTarget, tl.InvalidRegime) as exc:
             return type(exc)
 
@@ -184,16 +184,15 @@ def assert_sweep_rows_are_solves(model, baseline, grid):
     """Every sweep point is its one-target solve: the same prices, charge and
     gains bit for bit, and infeasible exactly where that solve raises
     InfeasibleTarget or InvalidRegime."""
-    config = tl.SolverConfig()
     charge, rate = baseline.connection_charge, float(baseline.prices[0])
-    fronts = tl.sweep(model, baseline, tl.TARIFF_FAMILIES, grid, config)
+    fronts = tl.sweep(model, baseline, tl.TARIFF_FAMILIES, grid)
     assert [front.family for front in fronts] == list(FAMILIES)
     for front in fronts:
         family = FAMILIES[front.family]
         assert [p.F for p in front.points] == sorted(float(F) for F in grid)
         for point in front.points:
             try:
-                tariff, _ = family.solve(model, point.F, config, charge, rate)
+                tariff, _ = family.solve(model, point.F, charge, rate)
             except (tl.InfeasibleTarget, tl.InvalidRegime):
                 assert not point.feasible, (front.family, point.F)
                 continue

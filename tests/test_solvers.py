@@ -1,7 +1,9 @@
 """Solver examples and invariants: two-part, Ramsey, monopoly, flat variants,
 the curvature screen, and the planner bound."""
 
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,7 +106,7 @@ class TestSolveLinear:
         )
         model = tl.calibrate_demand(scenarios, tl.CalibrationConfig())
         sol = tl.solve_linear(model, 0.0)
-        assert abs(sol.achieved_rs) <= tl.SolverConfig().rs_tol
+        assert abs(sol.achieved_rs) <= solvers.rs_tolerance(0.0)
         assert sol.achieved_rs == tl.phi_bar(model, sol.prices)
         assert 0.0 < sol.rho < 1e-2
 
@@ -115,7 +117,7 @@ class TestSolveLinear:
         sol = tl.solve_linear(bundled_model, top)
         assert sol.rho == 1.0
         assert sol.gamma == math.inf
-        assert abs(sol.achieved_rs - top) <= tl.SolverConfig().rs_tolerance(top)
+        assert abs(sol.achieved_rs - top) <= solvers.rs_tolerance(top)
 
     def test_infeasible_above_monopoly_margin(self, i2_model):
         with pytest.raises(tl.InfeasibleTarget) as exc_info:
@@ -188,12 +190,12 @@ class TestMonopolyPrice:
         generic = tl.monopoly_price(generic_twin(i2_model))
         np.testing.assert_allclose(generic, [4.5, 7.0], atol=1e-8)
 
-    def test_nonconvergence_with_tiny_budget(self):
+    def test_nonconvergence_with_tiny_budget(self, monkeypatch):
         scenarios = tl.ScenarioSet(lams=[[2.0]], omegas=[[20.0]])
         model = CubicDemand(scenarios)
-        config = tl.SolverConfig(max_iterations=2)
-        with pytest.raises(tl.NonConvergence):
-            tl.monopoly_price(model, config)
+        monkeypatch.setattr(solvers, "_MAX_ITERATIONS", 2)
+        with pytest.raises(tl.NonConvergence, match="in 2 iterations"):
+            tl.monopoly_price(model)
 
     @pytest.mark.parametrize("shift", [0.0, 1e-3, -1e-3, 0.5, -0.5])
     def test_verification_matches_probe_loop(self, i2_model, shift):
@@ -430,16 +432,6 @@ class TestSolverInvariants:
         assert fixed >= linear - tol
         assert linear >= flat - tol
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            tl.SolverConfig(damping=0.0)
-        with pytest.raises(ValueError):
-            tl.SolverConfig(fp_tol=-1.0)
-        # only the low-markup root is implemented; there is no knob to ask
-        # for the high-markup one
-        with pytest.raises(TypeError):
-            tl.SolverConfig(root_selection="high-markup")
-
     @pytest.mark.parametrize("F", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_target_rejected(self, i2_model, F):
         for solve in (tl.solve_two_part, tl.solve_linear, tl.solve_flat_linear):
@@ -468,10 +460,81 @@ class TestClosedFormPath:
         assert all(front.feasible_points for front in fronts)
         charge, rate = baseline.connection_charge, float(baseline.prices[0])
         for family in FAMILIES.values():
-            family.solve(bundled_model, float(grid[len(grid) // 2]), tl.SolverConfig(),
-                         charge, rate)
+            family.solve(bundled_model, float(grid[len(grid) // 2]), charge, rate)
         assert calls == []
         # the counter does see the generic path
         tl.solve_linear(generic_twin(i2_model), 24.0)
         tl.solve_flat_linear(generic_twin(i2_model), 24.0)
         assert len(calls) == 2
+
+
+def i2_with_states(omega_bar) -> tl.LinearDemandModel:
+    scenarios = tl.ScenarioSet(lams=[[1.0, 2.0]], omegas=[omega_bar])
+    return tl.LinearDemandModel(G=G_I2, scenarios=scenarios, customers=1)
+
+
+@pytest.mark.filterwarnings("ignore::tarifflab.errors.PriceSignWarning")
+class TestGenericFlatPath:
+    """The generic flat path (bracket walks, ternary search, bisection)
+    against the closed form on the same demand."""
+
+    # I2's demand states, and their negatives: mean demand below zero, as on
+    # a solar-heavy feeder, moves the flat peak to a negative rate (-3.875)
+    @pytest.mark.parametrize("omega_bar", [(10.0, 8.0), (-10.0, -8.0)])
+    # residual targets this far below the peak flat margin (0: the top of the
+    # range); at the first two the root, about -sqrt(gap / 1'G1), lies far
+    # past any fixed step cap
+    @pytest.mark.parametrize("gap", [1e200, 1e30, 1e6, 100.0, 15.0, 1.0, 1e-2, 0.0])
+    @pytest.mark.parametrize("family", ["flat-linear", "adjusted-flat"])
+    def test_matches_closed_form_across_the_flat_range(self, omega_bar, gap, family):
+        model = i2_with_states(omega_bar)
+        twin = generic_twin(model)
+        peak = solvers._flat_monopoly_rate(model)
+        assert peak == pytest.approx(
+            solvers._flat_monopoly_rate(twin), rel=1e-7, abs=1e-7
+        )
+        charge = 1.0 if family == "adjusted-flat" else 0.0
+        F = tl.phi_bar(model, np.full(2, peak)) - gap + charge
+        closed, _ = FAMILIES[family].solve(model, F, charge, 1.5)
+        generic, _ = FAMILIES[family].solve(twin, F, charge, 1.5)
+        # the bound of test_every_family_matches_its_generic_twin
+        scale = max(1.0, float(np.abs(closed.prices).max()))
+        assert float(np.abs(closed.prices - generic.prices).max()) <= 2e-8 * scale
+        assert generic.connection_charge == closed.connection_charge
+
+    def test_margin_without_peak_fails_by_name(self):
+        # a margin that rises without end: the peak walk runs until the
+        # margin overflows and then gives up, with no warning on the way
+        scenarios = tl.ScenarioSet(lams=[[1.0, 2.0]], omegas=[[10.0, 8.0]])
+        model = ConstantDemand(scenarios)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tl.NonConvergence, match="bracket did not close"):
+                tl.solve_flat_linear(model, 5.0)
+
+
+# tolerance and sampling keywords: none is part of a tariff's definition, so
+# no solver or check takes one
+RETIRED_KEYWORDS = {
+    "config", "count", "rel_tol", "seed", "tol", "correlation_threshold",
+    "demand_floor", "h_scale",
+}
+
+
+def test_no_tolerance_keywords():
+    from tarifflab import checks, model, pareto
+
+    assert not hasattr(tl, "SolverConfig")
+    assert not hasattr(solvers, "SolverConfig")
+    callables = [
+        obj
+        for module in (solvers, pareto, checks, model)
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and callable(obj)
+        and getattr(obj, "__module__", None) == module.__name__
+    ]
+    callables += [family.solve for family in FAMILIES.values()]
+    assert len(callables) > 40  # the scan sees the public API
+    for obj in callables:
+        params = set(inspect.signature(obj).parameters)
+        assert not params & RETIRED_KEYWORDS, obj
