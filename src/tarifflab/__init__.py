@@ -34,7 +34,6 @@ from .errors import (
 from .model import (
     TARIFF_FAMILIES,
     DemandModel,
-    ElasticityMatrix,
     LinearDemandModel,
     ScenarioSet,
     Tariff,

@@ -105,6 +105,14 @@ def _resolve_baseline(
     )
 
 
+def _baseline_flags(baseline: Tariff) -> dict:
+    """The resolved baseline, recorded in every solve and pareto manifest."""
+    return {
+        "flat_rate": float(baseline.prices[0]),
+        "connection_charge": baseline.connection_charge,
+    }
+
+
 def _resolve_target(raw: str, model: LinearDemandModel, baseline: Tariff) -> float:
     if raw == "baseline":
         return retailer_surplus(model, baseline)
@@ -213,9 +221,7 @@ def cmd_solve(args) -> int:
     baseline = _resolve_baseline(payload, model, args)
     F = _resolve_target(args.target_rs, model, baseline)
     family = _ALIASES[args.family]
-    tariff, diagnostics = FAMILIES[family].solve(
-        model, F, baseline.connection_charge, float(baseline.prices[0])
-    )
+    tariff, diagnostics = FAMILIES[family].solve(model, F, baseline)
     report = welfare_gains(model, tariff, baseline)
     print_solution(family, F, tariff, report, diagnostics)
     if args.out:
@@ -236,7 +242,8 @@ def cmd_solve(args) -> int:
         Path(args.out).write_text(front_csv([front], model.periods))
         _write_manifest(
             args.out, "solve", {"model": args.model},
-            {"family": family, "target_rs": args.target_rs},
+            {"family": family, "target_rs": args.target_rs,
+             **_baseline_flags(baseline)},
         )
     return 0
 
@@ -277,6 +284,7 @@ def cmd_pareto(args) -> int:
         "f_min": float(grid[0]),
         "f_max": float(grid[-1]),
         "steps": steps,
+        **_baseline_flags(baseline),
     }
     if args.out:
         Path(args.out).write_text(csv_text)

@@ -77,7 +77,6 @@ class CalibrationConfig:
 class RawSeries:
     """A dense (days x hours) block parsed from one CSV."""
 
-    kind: str
     values: np.ndarray
     day_labels: tuple[int, ...]
 
@@ -191,7 +190,6 @@ def _parse_dense(data: bytes, kind: str) -> RawSeries | None:
     ):
         return None
     return RawSeries(
-        kind=kind,
         values=values[order].reshape(-1, periods),
         day_labels=tuple(day[:, 0].tolist()),
     )
@@ -251,7 +249,7 @@ def _parse_rows(path: Path, kind: str) -> RawSeries:
             if (day, hour) not in cells:
                 raise MissingHour(day, hour)
     values = np.array([[cells[day, hour] for hour in range(periods)] for day in labels])
-    return RawSeries(kind=kind, values=values, day_labels=tuple(labels))
+    return RawSeries(values=values, day_labels=tuple(labels))
 
 
 def estimate_moments(load: RawSeries, prices: RawSeries) -> ScenarioSet:
@@ -509,8 +507,9 @@ def _model_lines(path: Path):
 def read_model_file(path) -> ModelFilePayload:
     """Parse a model file into its raw payload, in one pass over its lines.
 
-    Structural problems (missing keys, wrong counts, non-finite numbers,
-    inconsistent stored moments) raise ModelFileError with file/line context.
+    Structural problems (missing keys, wrong counts, fewer than one period
+    or customer, non-finite numbers, inconsistent stored moments) raise
+    ModelFileError with file/line context.
     Semantic conditions on G (symmetry, positive definiteness) are *not*
     enforced here; `to_model` applies them, and the check command reports
     them as named diagnostics.
@@ -567,6 +566,8 @@ def read_model_file(path) -> ModelFilePayload:
     customers = need_int("customers")
     if periods < 1:
         raise ModelFileError(path, entries["periods"][0], "periods must be >= 1")
+    if customers < 1:
+        raise ModelFileError(path, entries["customers"][0], "customers must be >= 1")
     count = need_int("scenario_count")
     if count < 1:
         raise ModelFileError(path, entries["scenario_count"][0], "need scenarios")

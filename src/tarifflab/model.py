@@ -325,7 +325,6 @@ class WelfareReport:
     tariff's own expected retailer surplus (not a gain).
     """
 
-    baseline: Tariff
     delta_cs: float
     delta_rs: float
     delta_sw: float
@@ -335,18 +334,6 @@ class WelfareReport:
         scale = max(1.0, abs(self.delta_cs), abs(self.delta_rs))
         if abs(self.delta_sw - (self.delta_cs + self.delta_rs)) > 1e-9 * scale:
             raise ValueError("delta_sw must equal delta_cs + delta_rs")
-
-
-@dataclass(frozen=True)
-class ElasticityMatrix:
-    """Own/cross price elasticities eps[k, t] evaluated at a price vector."""
-
-    values: np.ndarray
-    pi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        object.__setattr__(self, "pi", _readonly(self.pi))
 
 
 def _as_price_vector(model: DemandModel, pi, *, stack: bool = False) -> np.ndarray:
@@ -442,7 +429,6 @@ def welfare_gains(
     )
     delta_rs = rs_tariff - retailer_surplus(model, baseline)
     return WelfareReport(
-        baseline=baseline,
         delta_cs=delta_cs,
         delta_rs=delta_rs,
         delta_sw=delta_cs + delta_rs,
@@ -450,11 +436,12 @@ def welfare_gains(
     )
 
 
-def elasticity_matrix(model: DemandModel, pi) -> ElasticityMatrix:
+def elasticity_matrix(model: DemandModel, pi) -> np.ndarray:
     """Price elasticities eps[k, t] = (dE[D_k]/d pi_t) * pi_t / E[D_k].
 
-    For linear demand eps[k, t] = -G[k, t] pi_t / E[D_k]. Raises
-    ZeroExpectedDemand if any expected demand is at or below 1e-9.
+    Returns the read-only (N, N) array. For linear demand eps[k, t] =
+    -G[k, t] pi_t / E[D_k]. Raises ZeroExpectedDemand if any expected demand
+    is at or below 1e-9.
     """
     demand_floor = 1e-9
     pi = _as_price_vector(model, pi)
@@ -465,8 +452,7 @@ def elasticity_matrix(model: DemandModel, pi) -> ElasticityMatrix:
             f"expected demand in period {k} is {dbar[k]!r} <= {demand_floor!r}"
         )
     jac = model.mean_jacobian(pi)
-    values = jac * pi[np.newaxis, :] / dbar[:, np.newaxis]
-    return ElasticityMatrix(values=values, pi=pi)
+    return _readonly(jac * pi[np.newaxis, :] / dbar[:, np.newaxis])
 
 
 def flat_rate_elasticity(model: DemandModel, rate: float) -> float:
@@ -480,4 +466,4 @@ def flat_rate_elasticity(model: DemandModel, rate: float) -> float:
     eps = elasticity_matrix(model, np.full(n, float(rate)))
     dbar = model.mean_demand(np.full(n, float(rate)))
     weights = dbar / dbar.sum()
-    return float(weights @ eps.values.sum(axis=1))
+    return float(weights @ eps.sum(axis=1))

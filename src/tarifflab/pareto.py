@@ -18,7 +18,6 @@ from .model import (
 )
 from .solvers import (
     RamseySolution,
-    adjusted_flat_delta,
     monopoly_price,
     phi_bar,
     solve_adjusted_flat,
@@ -33,11 +32,11 @@ from .solvers import (
 class Family:
     """One tariff family: its name, CLI aliases, plot colour and solver.
 
-    `solve(model, F, fixed_charge, base_rate)` returns the tariff and the
-    diagnostics `solve` prints. `fixed_charge` is the frozen connection
-    charge of the fixed-charge families; `base_rate` is adjusted-flat's rate
-    before adjustment. It takes no tolerance: every family solves to the
-    fixed tolerances of `solvers`.
+    `solve(model, F, baseline)` returns the tariff and the diagnostics
+    `solve` prints. The fixed-charge families keep the baseline's connection
+    charge, and adjusted-flat reports its rate as a move from the baseline's
+    flat rate. It takes no tolerance: every family solves to the fixed
+    tolerances of `solvers`.
     """
 
     name: str
@@ -51,29 +50,30 @@ def _ramsey_diagnostics(solution: RamseySolution) -> dict[str, float]:
             "achieved_rs": solution.achieved_rs}
 
 
-def _two_part(model, F, fixed_charge, base_rate):
+def _two_part(model, F, baseline):
     return solve_two_part(model, F), {}
 
 
-def _linear(model, F, fixed_charge, base_rate):
+def _linear(model, F, baseline):
     solution = solve_linear(model, F)
     return solution.tariff, _ramsey_diagnostics(solution)
 
 
-def _flat(model, F, fixed_charge, base_rate):
+def _flat(model, F, baseline):
     return solve_flat_linear(model, F), {}
 
 
-def _fixed_A(model, F, fixed_charge, base_rate):
-    tariff, solution = solve_fixed_A_ramsey(model, F, fixed_charge)
+def _fixed_A(model, F, baseline):
+    tariff, solution = solve_fixed_A_ramsey(model, F, baseline.connection_charge)
     return tariff, _ramsey_diagnostics(solution)
 
 
-def _adjusted_flat(model, F, fixed_charge, base_rate):
-    if base_rate is None:
+def _adjusted_flat(model, F, baseline):
+    if not baseline.is_flat:
         raise ValueError("adjusted-flat sweeps need a flat baseline rate")
-    tariff = solve_adjusted_flat(model, F, base_rate, fixed_charge)
-    return tariff, {"delta": adjusted_flat_delta(tariff, base_rate)}
+    rate = float(baseline.prices[0])
+    tariff = solve_adjusted_flat(model, F, rate, baseline.connection_charge)
+    return tariff, {"delta": float(tariff.prices[0]) - rate}
 
 
 FAMILIES = {
@@ -138,17 +138,12 @@ def sweep(
     baseline: Tariff,
     families,
     F_grid,
-    *,
-    fixed_charge: float | None = None,
-    base_rate: float | None = None,
 ) -> list[ParetoFront]:
     """Solve each family across the revenue-target grid.
 
     Targets a family cannot meet are recorded in-band as infeasible points so
-    the frontier F = phi_bar(pi_M) stays visible. `fixed_charge` (for the
-    fixed-charge families) defaults to the baseline's connection charge;
-    `base_rate` (for adjusted-flat) defaults to the baseline's rate when the
-    baseline is flat.
+    the frontier F = phi_bar(pi_M) stays visible. Each family solves from
+    `baseline` as `Family.solve` does, and every gain is relative to it.
     """
     requested = set(families)
     unknown = requested - set(FAMILIES)
@@ -157,17 +152,13 @@ def sweep(
             f"unknown families {sorted(unknown)}; expected among {TARIFF_FAMILIES}"
         )
     families = [f for f in FAMILIES if f in requested]
-    if fixed_charge is None:
-        fixed_charge = baseline.connection_charge
-    if base_rate is None and baseline.is_flat:
-        base_rate = float(baseline.prices[0])
     targets = [float(f) for f in F_grid]
     order = sorted(range(len(targets)), key=lambda i: targets[i])
     baseline_rs = retailer_surplus(model, baseline)
 
     def solve_point(family: Family, F: float) -> ParetoPoint:
         try:
-            tariff, _ = family.solve(model, F, fixed_charge, base_rate)
+            tariff, _ = family.solve(model, F, baseline)
         except (InfeasibleTarget, InvalidRegime):
             return ParetoPoint(
                 F=F, delta_cs=math.nan, delta_rs=math.nan, delta_sw=math.nan,

@@ -90,26 +90,16 @@ class RamseySolution:
 
 
 @dataclass(frozen=True)
-class Assumption1Sample:
-    pi: np.ndarray
-    max_symmetric_eigenvalue: float
-
-    @property
-    def negative_definite(self) -> bool:
-        return self.max_symmetric_eigenvalue < 0
-
-
-@dataclass(frozen=True)
 class Assumption1Report:
-    samples: tuple[Assumption1Sample, ...]
+    """Largest symmetric-part eigenvalue of the field's Jacobian, per sample."""
+
+    max_eigenvalues: tuple[float, ...]
     passed: bool = field(init=False)
     vacuous: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vacuous", len(self.samples) == 0)
-        object.__setattr__(
-            self, "passed", all(s.negative_definite for s in self.samples)
-        )
+        object.__setattr__(self, "vacuous", not self.max_eigenvalues)
+        object.__setattr__(self, "passed", all(e < 0 for e in self.max_eigenvalues))
 
 
 def _warn_on_sign(model: DemandModel, pi: np.ndarray, context: str) -> None:
@@ -218,27 +208,20 @@ def _damped_fixed_point(step, start: np.ndarray) -> np.ndarray:
 def _two_part_price(model: DemandModel) -> np.ndarray:
     """Price of the optimal two-part tariff.
 
-    Linear demand: with deterministic price response the Jacobian is
+    The price is the zero of the Assumption-1 field g(pi) = E[dD(pi) (pi -
+    lam)]. Linear demand: with deterministic price response the Jacobian is
     uncorrelated with the wholesale price and the markup term vanishes, so
     the price is the expected wholesale price. Generic demand iterates
-    pi <- lam_bar + E[dD]^-1 E[dD (lam - lam_bar)].
+    pi <- pi - E[dD]^-1 g(pi).
     """
     lam_bar = model.scenarios.lambda_bar
     if isinstance(model, LinearDemandModel):
         return lam_bar.copy()
 
-    lams = model.scenarios.lams
-
     def step(pi: np.ndarray) -> np.ndarray:
-        jbar = model.mean_jacobian(pi)
-        weighted = np.mean(
-            [
-                model.demand_jacobian(pi, j) @ (lams[j] - lam_bar)
-                for j in range(model.scenarios.n_scenarios)
-            ],
-            axis=0,
+        return pi - _solve_mean_jacobian(
+            model.mean_jacobian(pi), model.mean_jacobian_margin(pi)
         )
-        return lam_bar + _solve_mean_jacobian(jbar, weighted)
 
     return _damped_fixed_point(step, lam_bar)
 
@@ -492,8 +475,10 @@ def solve_adjusted_flat(
 ) -> Tariff:
     """Flat two-part tariff with frozen charge: rate base_rate + delta.
 
-    delta solves phi_bar(1 * (base_rate + delta)) + M * A_fixed = F at the
-    low-markup root; at F equal to the baseline's own surplus, delta is 0.
+    The rate is the low-markup root of phi_bar(1 * rate) + M * A_fixed = F,
+    whatever `base_rate` is: `base_rate` only anchors the reported delta and
+    does not move the rate. At F equal to the surplus of the flat tariff
+    (A_fixed, base_rate), delta is 0.
     """
     residual = F - model.customers * A_fixed
     rate = _flat_low_root(model, residual)
@@ -502,27 +487,21 @@ def solve_adjusted_flat(
     return Tariff(connection_charge=A_fixed, prices=pi, family="adjusted-flat")
 
 
-def adjusted_flat_delta(tariff: Tariff, base_rate: float) -> float:
-    """Rate adjustment of an adjusted-flat tariff relative to its base rate."""
-    return float(tariff.prices[0]) - base_rate
-
-
 def check_assumption1(model: DemandModel, pi_samples) -> Assumption1Report:
     """Numerically screen the curvature condition behind the solvers.
 
     Estimates the Jacobian of g(pi) = E[dD(pi) (pi - lam)], the model's
     `mean_jacobian_margin`, by central differences at each sample and
-    reports the largest eigenvalue of its symmetric part; the condition
-    holds at a sample iff that eigenvalue is negative. An empty sample list passes vacuously.
+    reports the largest eigenvalue of its symmetric part, one per sample in
+    order; the condition holds at a sample iff that eigenvalue is negative.
+    An empty sample list passes vacuously.
     """
-    samples = []
+    eigenvalues = []
     for raw in pi_samples:
         pi = _as_price_vector(model, raw)
         jac = central_difference(model.mean_jacobian_margin, pi)
-        sym = 0.5 * (jac + jac.T)
-        max_eig = float(np.linalg.eigvalsh(sym)[-1])
-        samples.append(Assumption1Sample(pi=pi, max_symmetric_eigenvalue=max_eig))
-    return Assumption1Report(samples=tuple(samples))
+        eigenvalues.append(float(np.linalg.eigvalsh(0.5 * (jac + jac.T))[-1]))
+    return Assumption1Report(max_eigenvalues=tuple(eigenvalues))
 
 
 def planner_bound_gain(model: LinearDemandModel, baseline: Tariff) -> float:

@@ -16,10 +16,10 @@ WIDTH, HEIGHT = 840, 560
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 180, 30, 60
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5  # about six ticks per axis
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         if mag * mult >= raw:
@@ -52,7 +52,7 @@ def _marker_points(front: ParetoFront) -> list[tuple[float, float, bool]]:
     return out
 
 
-def render_fronts(fronts: list[ParetoFront], title: str = "Pareto fronts") -> str:
+def render_fronts(fronts: list[ParetoFront]) -> str:
     pts = [xy for f in fronts for xy in _marker_points(f)]
     if not pts:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
@@ -80,7 +80,7 @@ def render_fronts(fronts: list[ParetoFront], title: str = "Pareto fronts") -> st
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{MARGIN_L}" y="20" font-family="sans-serif" font-size="14">'
-        f"{title}</text>",
+        "Pareto fronts</text>",
     ]
 
     axis_style = 'stroke="#333" stroke-width="1"'

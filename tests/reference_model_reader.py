@@ -1,5 +1,6 @@
-"""The model-file reader as it was before it streamed its input, kept
-verbatim as the reference for the differential test in `test_ingest.py`.
+"""The model-file reader as it was before it streamed its input, kept as
+the reference for the differential test in `test_ingest.py`. Its one change
+since is the rule the streaming reader gained later: customers must be >= 1.
 
 It decodes the whole file, splits it with `str.splitlines` and only then
 parses; the streaming reader must give the same payload, or the same
@@ -91,6 +92,8 @@ def read_model_file(path) -> ModelFilePayload:
     customers = need_int("customers")
     if periods < 1:
         raise ModelFileError(path, entries["periods"][0], "periods must be >= 1")
+    if customers < 1:
+        raise ModelFileError(path, entries["customers"][0], "customers must be >= 1")
     count = need_int("scenario_count")
     if count < 1:
         raise ModelFileError(path, entries["scenario_count"][0], "need scenarios")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tarifflab as tl
-from tarifflab.cli import main
+from tarifflab.cli import front_csv, main
 from tarifflab.solvers import rs_tolerance
 from tarifflab.pareto import FAMILIES
 
@@ -604,3 +604,87 @@ class TestTopLevel:
 
     def test_missing_model_file(self, tmp_path, capsys):
         assert main(["check", "--model", str(tmp_path / "nope.tlm")]) == 2
+
+
+class TestBaselineOverrides:
+    """The families solve from the resolved baseline, overrides included, and
+    every manifest records it."""
+
+    @pytest.mark.parametrize("family", ["fixed-A-two-part", "adjusted-flat"])
+    @pytest.mark.parametrize(
+        "option, values",
+        [("--connection-charge", (0.52, 3.0)), ("--flat-rate", (1.5, 2.0))],
+    )
+    def test_solve_rows_and_manifests_follow_the_override(
+        self, i2_model_file, tmp_path, capsys, family, option, values
+    ):
+        model = tl.read_model_file(i2_model_file).to_model()
+        manifests = []
+        for value in values:
+            out = tmp_path / f"{value}.csv"
+            assert main([
+                "solve", "--model", str(i2_model_file), "--family", family,
+                "--target-rs", "baseline", option, str(value), "--out", str(out),
+            ]) == 0
+            # the model file's baseline is rate 1.5 with no charge
+            charge, rate = (value, 1.5) if option == "--connection-charge" else (0.0, value)
+            baseline = tl.Tariff(connection_charge=charge, prices=[rate, rate],
+                                 family="adjusted-flat")
+            fronts = tl.sweep(model, baseline, {family},
+                              [tl.retailer_surplus(model, baseline)])
+            assert out.read_text() == front_csv(fronts, model.periods)
+            manifest = json.loads((tmp_path / f"{value}.csv.manifest.json").read_text())
+            assert manifest["flags"]["connection_charge"] == charge
+            assert manifest["flags"]["flat_rate"] == rate
+            manifest.pop("created")
+            manifests.append(manifest)
+        assert manifests[0] != manifests[1]
+
+    def test_pareto_manifests_follow_the_override(self, i2_model_file, tmp_path, capsys):
+        manifests = []
+        for charge in (0.52, 3.0):
+            out, svg = tmp_path / f"{charge}.csv", tmp_path / f"{charge}.svg"
+            assert main([
+                "pareto", "--model", str(i2_model_file), "--steps", "5",
+                "--connection-charge", str(charge), "--out", str(out), "--svg", str(svg),
+            ]) == 0
+            for path in (out, svg):
+                manifest = json.loads((tmp_path / f"{path.name}.manifest.json").read_text())
+                assert manifest["flags"]["connection_charge"] == charge
+                assert manifest["flags"]["flat_rate"] == 1.5
+            manifest.pop("created")
+            manifests.append(manifest)
+        assert manifests[0] != manifests[1]
+
+
+class TestCustomerCount:
+    @pytest.mark.parametrize("customers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--family", name, "--target-rs", "baseline"] for name in FAMILIES]
+        + [["pareto", "--families", "all"], ["check"]],
+    )
+    def test_model_file_below_one_customer_is_located_input_error(
+        self, i2_model_file, capsys, customers, command
+    ):
+        lines = i2_model_file.read_text().splitlines(keepends=True)
+        line_no = lines.index("customers = 1\n") + 1
+        lines[line_no - 1] = f"customers = {customers}\n"
+        i2_model_file.write_text("".join(lines))
+        code = main([command[0], "--model", str(i2_model_file), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{i2_model_file}:{line_no}: customers must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("customers", ["0", "-3"])
+    def test_fit_refuses_below_one_customer(self, tmp_path, tiny_csvs, capsys, customers):
+        load, prices = tiny_csvs
+        out = tmp_path / "m.tlm"
+        code = main([
+            "fit", "--load", str(load), "--prices", str(prices),
+            f"--customers={customers}", "--out", str(out),
+        ])
+        assert code == 2
+        assert "need at least one customer" in capsys.readouterr().err
+        assert not out.exists()

@@ -7,6 +7,9 @@ import tarifflab as tl
 from tarifflab.pareto import FAMILIES
 from tarifflab.synthetic import write_synthetic_csvs
 
+# a flat baseline for the families that solve from its charge and rate
+FLAT_BASELINE = tl.Tariff(connection_charge=2.0, prices=[1.5, 1.5], family="adjusted-flat")
+
 
 class TestSweep:
     def test_two_part_front_is_transfer_line(self, i2_model, i2_baseline):
@@ -46,11 +49,10 @@ class TestSweep:
         )
         assert [p.F for p in front.points] == [0.0, 8.0, 16.0]
 
-    def test_delta_rs_equals_target_minus_baseline_rs(self, i2_model, i2_baseline):
+    def test_delta_rs_equals_target_minus_baseline_rs(self, i2_model):
         fronts = tl.sweep(
-            i2_model, i2_baseline,
+            i2_model, FLAT_BASELINE,
             set(tl.TARIFF_FAMILIES), np.linspace(0.0, 30.0, 7),
-            fixed_charge=2.0, base_rate=1.5,
         )
         for front in fronts:
             for p in front.feasible_points:
@@ -95,11 +97,10 @@ class TestSweep:
                 tol = 1e-8 * max(1.0, abs(p.F))
                 assert abs(p.delta_rs - (p.F - front.baseline_rs)) <= tol
 
-    def test_negative_prices_warn_with_the_solver_context(self, i2_model, i2_baseline):
+    def test_negative_prices_warn_with_the_solver_context(self, i2_model):
         with pytest.warns(tl.PriceSignWarning) as record:
             fronts = tl.sweep(
-                i2_model, i2_baseline, {"flat-linear", "adjusted-flat"}, [-40.0],
-                fixed_charge=2.0, base_rate=1.5,
+                i2_model, FLAT_BASELINE, {"flat-linear", "adjusted-flat"}, [-40.0],
             )
         assert all(p.tariff.prices[0] < 0 for f in fronts for p in f.points)
         assert [str(w.message) for w in record] == [

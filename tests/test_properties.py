@@ -131,7 +131,7 @@ def test_ramsey_solution_properties(seed, frac):
     assert 0.0 <= sol.rho <= 1.0
     # markup identity (Eq. 14 analog): row sums of the weighted elasticities
     pistar = model.scenarios.lambda_bar
-    eps = tl.elasticity_matrix(model, sol.prices).values
+    eps = tl.elasticity_matrix(model, sol.prices)
     markup = (sol.prices - pistar) / sol.prices
     assert float(np.abs(-(eps @ markup) - sol.rho).max()) <= 1e-6
     # generic agreement at the same target
@@ -157,10 +157,13 @@ def test_every_family_matches_its_generic_twin(seed, frac, charge_frac):
     F = lo + frac * (hi - lo)
     a_fixed = charge_frac * abs(F - lo) / model.customers
     base_rate = float(model.scenarios.lambda_bar.mean())
+    baseline = tl.Tariff(connection_charge=a_fixed,
+                         prices=np.full(model.periods, base_rate),
+                         family="adjusted-flat")
 
     def run(m, family):
         try:
-            return family.solve(m, F, a_fixed, base_rate)[0]
+            return family.solve(m, F, baseline)[0]
         except (tl.InfeasibleTarget, tl.InvalidRegime) as exc:
             return type(exc)
 
@@ -184,7 +187,6 @@ def assert_sweep_rows_are_solves(model, baseline, grid):
     """Every sweep point is its one-target solve: the same prices, charge and
     gains bit for bit, and infeasible exactly where that solve raises
     InfeasibleTarget or InvalidRegime."""
-    charge, rate = baseline.connection_charge, float(baseline.prices[0])
     fronts = tl.sweep(model, baseline, tl.TARIFF_FAMILIES, grid)
     assert [front.family for front in fronts] == list(FAMILIES)
     for front in fronts:
@@ -192,7 +194,7 @@ def assert_sweep_rows_are_solves(model, baseline, grid):
         assert [p.F for p in front.points] == sorted(float(F) for F in grid)
         for point in front.points:
             try:
-                tariff, _ = family.solve(model, point.F, charge, rate)
+                tariff, _ = family.solve(model, point.F, baseline)
             except (tl.InfeasibleTarget, tl.InvalidRegime):
                 assert not point.feasible, (front.family, point.F)
                 continue

@@ -1,6 +1,7 @@
 """Solver examples and invariants: two-part, Ramsey, monopoly, flat variants,
 the curvature screen, and the planner bound."""
 
+import dataclasses
 import inspect
 import math
 import warnings
@@ -25,7 +26,7 @@ from conftest import (
 def eq14_residual(model: tl.LinearDemandModel, solution: tl.RamseySolution) -> float:
     """Markup identity: sum_t -eps[k,t] (pi_t - pi*_t)/pi_t = rho for all k."""
     pistar = model.scenarios.lambda_bar
-    eps = tl.elasticity_matrix(model, solution.prices).values
+    eps = tl.elasticity_matrix(model, solution.prices)
     markup = (solution.prices - pistar) / solution.prices
     lhs = -(eps @ markup)
     return float(np.abs(lhs - solution.rho).max())
@@ -307,9 +308,10 @@ class TestSolveAdjustedFlat:
         # -2 p^2 + 20.5 p - 26 = 24 has roots 4 and 6.25; low-markup is 4
         tariff = tl.solve_adjusted_flat(i2_model, 24.0, 1.5, 0.0)
         assert tariff.prices[0] == pytest.approx(4.0, abs=1e-8)
-        from tarifflab.solvers import adjusted_flat_delta
-
-        assert adjusted_flat_delta(tariff, 1.5) == pytest.approx(2.5, abs=1e-8)
+        baseline = tl.Tariff(connection_charge=0.0, prices=[1.5, 1.5],
+                             family="adjusted-flat")
+        _, diagnostics = FAMILIES["adjusted-flat"].solve(i2_model, 24.0, baseline)
+        assert diagnostics["delta"] == pytest.approx(2.5, abs=1e-8)
 
     def test_infeasible_target(self, i2_model):
         with pytest.raises(tl.InfeasibleTarget):
@@ -321,17 +323,15 @@ class TestCheckAssumption1:
         report = tl.check_assumption1(i2_model, [[1.0, 2.0], [3.0, 4.0]])
         assert report.passed and not report.vacuous
         expected_max = float(np.linalg.eigvalsh(-G_I2)[-1])
-        for sample in report.samples:
-            assert sample.max_symmetric_eigenvalue == pytest.approx(
-                expected_max, rel=1e-6
-            )
+        for max_eig in report.max_eigenvalues:
+            assert max_eig == pytest.approx(expected_max, rel=1e-6)
 
     def test_convex_demand_fails(self):
         scenarios = tl.ScenarioSet(lams=[[1.0, 1.0]], omegas=[[5.0, 5.0]])
         model = UpwardQuadraticDemand(scenarios, curvature=2.0)
         report = tl.check_assumption1(model, [[1.0, 1.0]])
         assert not report.passed
-        assert report.samples[0].max_symmetric_eigenvalue > 0
+        assert report.max_eigenvalues[0] > 0
 
     def test_generic_model_uses_the_scenario_loop(self, monkeypatch):
         # StochasticSlopeDemand has no closed-form field: check_assumption1
@@ -357,9 +357,7 @@ class TestCheckAssumption1:
         # two central-difference points per period, each over both scenarios
         assert sorted(set(calls)) == [0, 1] and len(calls) == 2 * 2 * 2
         expected = float(np.linalg.eigvalsh(-0.5 * (slopes[0] + slopes[1]))[-1])
-        assert report.samples[0].max_symmetric_eigenvalue == pytest.approx(
-            expected, rel=1e-6
-        )
+        assert report.max_eigenvalues[0] == pytest.approx(expected, rel=1e-6)
 
     def test_empty_samples_vacuous_pass(self, i2_model):
         report = tl.check_assumption1(i2_model, [])
@@ -458,9 +456,8 @@ class TestClosedFormPath:
         grid = tl.default_revenue_grid(bundled_model)
         fronts = tl.sweep(bundled_model, baseline, tl.TARIFF_FAMILIES, grid)
         assert all(front.feasible_points for front in fronts)
-        charge, rate = baseline.connection_charge, float(baseline.prices[0])
         for family in FAMILIES.values():
-            family.solve(bundled_model, float(grid[len(grid) // 2]), charge, rate)
+            family.solve(bundled_model, float(grid[len(grid) // 2]), baseline)
         assert calls == []
         # the counter does see the generic path
         tl.solve_linear(generic_twin(i2_model), 24.0)
@@ -495,8 +492,10 @@ class TestGenericFlatPath:
         )
         charge = 1.0 if family == "adjusted-flat" else 0.0
         F = tl.phi_bar(model, np.full(2, peak)) - gap + charge
-        closed, _ = FAMILIES[family].solve(model, F, charge, 1.5)
-        generic, _ = FAMILIES[family].solve(twin, F, charge, 1.5)
+        baseline = tl.Tariff(connection_charge=charge, prices=[1.5, 1.5],
+                             family="adjusted-flat")
+        closed, _ = FAMILIES[family].solve(model, F, baseline)
+        generic, _ = FAMILIES[family].solve(twin, F, baseline)
         # the bound of test_every_family_matches_its_generic_twin
         scale = max(1.0, float(np.abs(closed.prices).max()))
         assert float(np.abs(closed.prices - generic.prices).max()) <= 2e-8 * scale
@@ -522,7 +521,7 @@ RETIRED_KEYWORDS = {
 
 
 def test_no_tolerance_keywords():
-    from tarifflab import checks, model, pareto
+    from tarifflab import checks, ingest, model, pareto, svg
 
     assert not hasattr(tl, "SolverConfig")
     assert not hasattr(solvers, "SolverConfig")
@@ -538,3 +537,19 @@ def test_no_tolerance_keywords():
     for obj in callables:
         params = set(inspect.signature(obj).parameters)
         assert not params & RETIRED_KEYWORDS, obj
+
+    # every family solves from the baseline tariff itself, the sweep and the
+    # plot take no option, and no result type carries a field nobody reads
+    def arguments(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert arguments(pareto.sweep) == ["model", "baseline", "families", "F_grid"]
+    for family in FAMILIES.values():
+        assert arguments(family.solve) == ["model", "F", "baseline"], family.name
+    assert arguments(svg.render_fronts) == ["fronts"]
+    assert arguments(svg._ticks) == ["lo", "hi"]
+    assert not hasattr(tl, "ElasticityMatrix")
+    assert not hasattr(solvers, "adjusted_flat_delta")
+    for cls in (model.WelfareReport, ingest.RawSeries):
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert not names & {"baseline", "kind"}, cls
