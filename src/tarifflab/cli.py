@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -401,6 +402,15 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
+    shown: set[str] = set()
+
+    def plain_warning(message, *_) -> str:
+        # each distinct message once, without its source file and line
+        text = "" if str(message) in shown else f"warning: {message}\n"
+        shown.add(str(message))
+        return text
+
+    default_format, warnings.formatwarning = warnings.formatwarning, plain_warning
     try:
         return args.func(args)
     except InfeasibleTarget as exc:
@@ -421,6 +431,8 @@ def main(argv=None) -> int:
     except (TariffLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@ settlement accounting.
 
 These are the independent cross-checks for the solvers and the analytic
 margin formula. They never replace the solvers in production paths and the
-grid is deliberately capped at 3 periods.
+grid is deliberately capped at 3 periods. `check` searches it for the
+Lagrangian argmax (`_grid_argmax_lagrangian`), which needs no revenue band.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class RsConstraint:
-    """Constrain the search to |rs(pi) - target| <= band."""
+    """Constrain a banded search to |rs(pi) - target| <= band (not `check`'s)."""
 
     target: float
     band: float
@@ -99,12 +100,8 @@ def settle_scenarios(model: DemandModel, tariff: Tariff) -> SettlementLedger:
 def _point_blocks(grid: GridSpec, flat: bool):
     """Yield (K, N) blocks of grid points in lexicographic order."""
     n = len(grid.axes)
-    if flat:
-        pts = grid.axis_points(0)
-        yield np.repeat(pts[:, None], n, axis=1)
-        return
-    if n == 1:
-        yield grid.axis_points(0)[:, None]
+    if flat or n == 1:
+        yield np.repeat(grid.axis_points(0)[:, None], n, axis=1)
         return
     # block per leading-axis value keeps memory bounded for 3-D grids
     tail = np.array(list(itertools.product(*[grid.axis_points(i) for i in range(1, n)])))
@@ -114,6 +111,49 @@ def _point_blocks(grid: GridSpec, flat: bool):
         block[:, 0] = x
         block[:, 1:] = tail
         yield block
+
+
+def _block_argmax(
+    model: LinearDemandModel,
+    baseline: Tariff,
+    grid: GridSpec,
+    objectives,
+    flat: bool = False,
+) -> list[tuple[np.ndarray | None, float]]:
+    """(pi, value) maximizing each objective(delta_sw, rs) over the grid, pi
+    None where every value is -inf; exact ties go to the lexicographically
+    smallest pi. Each block's welfare gain and margin are computed once.
+    """
+    if len(grid.axes) != model.periods:
+        raise ValueError(
+            f"grid has {len(grid.axes)} axes, model has {model.periods} periods"
+        )
+
+    G = model.G
+    lam = model.scenarios.lambda_bar
+    om = model.scenarios.omega_bar
+    tr_sigma = model.scenarios.trace_sigma
+
+    pib = baseline.prices
+    cs_base = 0.5 * float(pib @ G @ pib) - float(pib @ om)
+    rs_base = float((pib - lam) @ (om - G @ pib)) - tr_sigma
+
+    best = [(None, -np.inf)] * len(objectives)
+    for pts in _point_blocks(grid, flat):
+        gp = pts @ G  # G symmetric: row i is G @ pts[i]
+        quad = 0.5 * np.einsum("ij,ij->i", pts, gp)
+        cs = quad - pts @ om  # up to the benefit offset and -M*A
+        rs = np.einsum("ij,ij->i", pts - lam, om - gp) - tr_sigma
+        # connection charges cancel in delta_sw, so they are omitted from
+        # both sides
+        delta_sw = (cs - cs_base) + (rs - rs_base)
+        for k, objective in enumerate(objectives):
+            values = objective(delta_sw, rs)
+            i = int(np.argmax(values))
+            # strict > keeps the first (lexicographically smallest) tie-holder
+            if values[i] > best[k][1]:
+                best[k] = (pts[i].copy(), float(values[i]))
+    return best
 
 
 def grid_argmax_welfare(
@@ -132,78 +172,30 @@ def grid_argmax_welfare(
     space of the flat tariff families). Returns (pi, delta_sw); exact ties go
     to the lexicographically smallest pi.
     """
-    if constraint is None:
-        target, bands = 0.0, (None,)
-    else:
-        target, bands = constraint.target, (constraint.band,)
-    (best,) = grid_argmax_welfare_bands(
-        model, baseline, target, bands, grid,
-        connection_charge=connection_charge, flat=flat,
-    )
-    if best is None:
+    def objective(delta_sw, rs):
+        if constraint is None:
+            return delta_sw
+        gap = np.abs(rs + model.customers * connection_charge - constraint.target)
+        return np.where(gap <= constraint.band, delta_sw, -np.inf)
+
+    ((pi, value),) = _block_argmax(model, baseline, grid, [objective], flat)
+    if pi is None:
         raise EmptyFeasibleSet(
             f"no grid point within {constraint.band!r} of rs target "
             f"{constraint.target!r}"
         )
-    return best
+    return pi, value
 
 
-def grid_argmax_welfare_bands(
-    model: LinearDemandModel,
-    baseline: Tariff,
-    target: float,
-    bands,
-    grid: GridSpec,
-    *,
-    connection_charge: float = 0.0,
-    flat: bool = False,
-) -> list[tuple[np.ndarray, float] | None]:
-    """`grid_argmax_welfare` for several revenue bands in one grid pass.
+def _grid_argmax_lagrangian(
+    model: LinearDemandModel, baseline: Tariff, grid: GridSpec, multipliers
+) -> list[tuple[np.ndarray, float]]:
+    """(pi, value) maximizing delta_sw + mu * phi_bar for each multiplier mu.
 
-    Each grid block's welfare and margin are evaluated once; each band then
-    takes its own masked argmax with the same tie rule. A band of None is
-    unconstrained. Returns one (pi, delta_sw) per band, or None where no grid
-    point lies within the band.
+    Welfare and margin are concave, so the welfare maximizer at margin F is
+    this Lagrangian's unconstrained maximizer at F's multiplier.
     """
-    if len(grid.axes) != model.periods:
-        raise ValueError(
-            f"grid has {len(grid.axes)} axes, model has {model.periods} periods"
-        )
-
-    G = model.G
-    lam = model.scenarios.lambda_bar
-    om = model.scenarios.omega_bar
-    tr_sigma = model.scenarios.trace_sigma
-
-    pib = baseline.prices
-    cs_base = 0.5 * float(pib @ G @ pib) - float(pib @ om)
-    rs_base = float((pib - lam) @ (om - G @ pib)) - tr_sigma
-
-    best_pi: list[np.ndarray | None] = [None] * len(bands)
-    best_val = [-np.inf] * len(bands)
-    for pts in _point_blocks(grid, flat):
-        gp = pts @ G  # G symmetric: row i is G @ pts[i]
-        quad = 0.5 * np.einsum("ij,ij->i", pts, gp)
-        cs = quad - pts @ om  # up to the benefit offset and -M*A
-        rs = np.einsum("ij,ij->i", pts - lam, om - gp) - tr_sigma
-        # connection charges cancel in delta_sw, so they are omitted from
-        # both sides; rs keeps the searched family's own charge for the
-        # constraint
-        delta_sw = (cs - cs_base) + (rs - rs_base)
-        gap = np.abs(rs + model.customers * connection_charge - target)
-
-        for k, band in enumerate(bands):
-            values = delta_sw
-            if band is not None:
-                feasible = gap <= band
-                if not feasible.any():
-                    continue
-                values = np.where(feasible, delta_sw, -np.inf)
-            i = int(np.argmax(values))
-            # strict > keeps the first (lexicographically smallest) tie-holder
-            if values[i] > best_val[k]:
-                best_val[k] = float(values[i])
-                best_pi[k] = pts[i].copy()
-    return [
-        None if pi is None else (pi, val) for pi, val in zip(best_pi, best_val)
-    ]
+    return _block_argmax(
+        model, baseline, grid,
+        [lambda delta_sw, rs, mu=mu: delta_sw + mu * rs for mu in multipliers],
+    )

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: exit codes, formats, determinism, manifests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -596,6 +600,53 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 4
         assert "FAIL G-positive-definite" in out
+
+    def test_fitted_92x2_seed_45_passes(self, tmp_path, capsys):
+        # the banded grid search false-FAILed oracle-linear here
+        from tarifflab.synthetic import write_synthetic_csvs
+
+        load, prices = write_synthetic_csvs(tmp_path, days=92, periods=2, seed=45)
+        model = tmp_path / "m.tlm"
+        assert main(["fit", "--load", str(load), "--prices", str(prices),
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        code = main(["check", "--model", str(model)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "PASS oracle-linear" in out
+
+
+class TestWarnings:
+    """A warning reaches the user as one `warning: <message>` line."""
+
+    def _stderr(self, *args: str) -> list[str]:
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "tarifflab.cli", *args],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return done.stderr.splitlines()
+
+    def test_pareto_with_a_negative_adjusted_flat_rate(self, bundled_model_file, tmp_path):
+        lines = self._stderr(
+            "pareto", "--model", str(bundled_model_file), "--flat-rate", "0.2",
+            "--connection-charge", "3.0", "--out", str(tmp_path / "f.csv"),
+        )
+        assert lines == ["warning: adjusted flat tariff: price vector has negative entries"]
+
+    def test_solve_on_a_strongly_coupled_model(self, tmp_path, capsys):
+        from tarifflab.synthetic import bundled_dataset_paths
+
+        load, prices = bundled_dataset_paths()
+        model = tmp_path / "a99.tlm"
+        assert main(["fit", "--load", str(load), "--prices", str(prices),
+                     "--alpha", "0.99", "--out", str(model)]) == 0
+        lines = self._stderr(
+            "solve", "--model", str(model), "--family", "linear", "--target-rs", "baseline",
+        )
+        assert "warning: linear tariff: price vector has negative entries" in lines
+        assert not [line for line in lines if ".py:" in line]
+        assert len(lines) == len(set(lines))
 
 
 class TestTopLevel:

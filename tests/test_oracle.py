@@ -1,9 +1,16 @@
 """Grid-search and settlement oracle behavior."""
 
+import dataclasses
+import itertools
+import re
+
 import numpy as np
 import pytest
 
 import tarifflab as tl
+from tarifflab import checks
+from conftest import random_linear_model
+from tarifflab.oracle import _grid_argmax_lagrangian
 
 
 @pytest.fixture
@@ -86,33 +93,63 @@ class TestGridArgmaxWelfare:
         assert val == pytest.approx(report.delta_sw, rel=1e-12, abs=1e-12)
 
 
-    @pytest.mark.parametrize("dims", [2, 3])
-    def test_bands_match_single_band_calls(self, dims):
-        from conftest import random_linear_model
-        from tarifflab.oracle import grid_argmax_welfare_bands
+def _random_case(dims: int, steps: int):
+    model = random_linear_model(7, periods=dims)
+    base = tl.Tariff(connection_charge=0.0,
+                     prices=1.2 * model.scenarios.lambda_bar,
+                     family="two-part-optimal")
+    pim = tl.monopoly_price(model)
+    return model, base, tl.GridSpec.cube(0.0, 1.25 * float(pim.max()), steps, dims=dims)
 
-        model = random_linear_model(7, periods=dims)
-        base = tl.Tariff(connection_charge=0.0,
-                         prices=1.2 * model.scenarios.lambda_bar,
-                         family="two-part-optimal")
-        pim = tl.monopoly_price(model)
-        grid = tl.GridSpec.cube(0.0, 1.25 * float(pim.max()), 25, dims=dims)
-        target = 0.5 * (tl.phi_bar(model, model.scenarios.lambda_bar)
-                        + tl.phi_bar(model, pim))
-        # a band too narrow to hold a point, a ladder, and no band at all
-        bands = [1e-12, 0.01 * target, 0.05 * target, 0.2 * target, None]
-        results = grid_argmax_welfare_bands(model, base, target, bands, grid)
-        assert len(results) == len(bands)
-        assert results[0] is None
-        for band, got in zip(bands, results):
-            constraint = None if band is None else tl.RsConstraint(target, band)
-            try:
-                want = tl.grid_argmax_welfare(model, base, constraint, grid)
-            except tl.EmptyFeasibleSet:
-                assert got is None
-                continue
-            np.testing.assert_array_equal(got[0], want[0])
-            assert got[1] == want[1]
+
+def _first_brute_force_argmax(model, baseline, grid, mu):
+    """delta_sw + mu * phi_bar at every grid point, lexicographic order; the
+    first point within rounding of the maximum, and the maximum."""
+    points = list(itertools.product(*(grid.axis_points(i) for i in range(model.periods))))
+    values = []
+    for pi in points:
+        tariff = tl.Tariff(connection_charge=0.0, prices=pi, family="two-part-optimal")
+        values.append(tl.welfare_gains(model, tariff, baseline).delta_sw
+                      + mu * tl.phi_bar(model, np.array(pi)))
+    top = max(values)
+    tie = 1e-12 * max(1.0, abs(top))
+    first = next(pi for pi, v in zip(points, values) if v >= top - tie)
+    return np.array(first), top
+
+
+class TestLagrangianPass:
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_zero_multiplier_is_the_unconstrained_argmax(self, dims):
+        model, base, grid = _random_case(dims, 25)
+        ((got_pi, got_val),) = _grid_argmax_lagrangian(model, base, grid, (0.0,))
+        want_pi, want_val = tl.grid_argmax_welfare(model, base, None, grid)
+        np.testing.assert_array_equal(got_pi, want_pi)
+        assert got_val == want_val
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("mu", [0.2071, 1.0, 4.0])
+    def test_matches_brute_force(self, dims, mu):
+        model, base, grid = _random_case(dims, 9)
+        (_, (pi, val)) = _grid_argmax_lagrangian(model, base, grid, (0.0, mu))
+        want_pi, want_val = _first_brute_force_argmax(model, base, grid, mu)
+        np.testing.assert_array_equal(pi, want_pi)
+        assert val == pytest.approx(want_val, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_exact_ties_go_to_the_lexicographically_first_point(self, dims):
+        # per period, up to a constant, -p^2/2 + p + mu (p - 1)(10 - p) peaks
+        # at p = 4 for mu = 1; grid points 3 and 5 tie exactly, so 2**dims
+        # points do
+        ss = tl.ScenarioSet(lams=[[1.0] * dims], omegas=[[10.0] * dims])
+        model = tl.LinearDemandModel(G=np.eye(dims), scenarios=ss, customers=1)
+        base = tl.Tariff(connection_charge=0.0, prices=[2.0] * dims,
+                         family="adjusted-flat")
+        grid = tl.GridSpec.cube(1.0, 5.0, 3, dims=dims)
+        (_, (pi, val)) = _grid_argmax_lagrangian(model, base, grid, (0.0, 1.0))
+        want_pi, want_val = _first_brute_force_argmax(model, base, grid, 1.0)
+        np.testing.assert_array_equal(pi, [3.0] * dims)
+        np.testing.assert_array_equal(pi, want_pi)
+        assert val == want_val
 
 
 class TestSettleScenarios:
@@ -155,3 +192,95 @@ class TestSettleScenarios:
         assert ledger.mean_margin == pytest.approx(
             tl.phi_bar(i2cov_model, [2.0, 3.0]) + 2.0, rel=1e-12
         )
+
+
+# random N = 2 instances on which the banded grid search false-FAILed
+BAND_FALSE_FAIL_SEEDS = (12, 18, 47, 48, 55)
+
+
+def _reference_case(seed: int):
+    model = random_linear_model(seed, periods=2)
+    # the reference baseline `check` uses for a model file without one
+    base = tl.Tariff(connection_charge=0.0,
+                     prices=1.25 * model.scenarios.lambda_bar + 0.01,
+                     family="two-part-optimal")
+    pim = tl.monopoly_price(model, verify=False)
+    step = max(1.25 * float(pim.max()), 1.0) / 399
+    return model, base, step
+
+
+def _linear_halves(result) -> tuple[float, float]:
+    """(grid gap in steps, settlement residual as a share of its tolerance)."""
+    match = re.search(r"gap (\S+) steps .* by (\S+) of tolerance", result.detail)
+    return float(match.group(1)), float(match.group(2))
+
+
+class TestCheckOracles:
+    @pytest.mark.parametrize("seed", BAND_FALSE_FAIL_SEEDS)
+    def test_certificate_passes_where_bands_failed(self, seed):
+        model, base, _ = _reference_case(seed)
+        two_part, linear = checks.check_oracles(model, base)
+        assert two_part.status == "PASS", two_part.detail
+        assert linear.status == "PASS", linear.detail
+
+    def test_skips_above_three_periods(self):
+        model = random_linear_model(0, periods=4)
+        base = tl.Tariff(connection_charge=0.0, prices=model.scenarios.lambda_bar,
+                         family="two-part-optimal")
+        assert [r.status for r in checks.check_oracles(model, base)] == ["SKIP"] * 2
+
+    @pytest.mark.parametrize("seed", BAND_FALSE_FAIL_SEEDS)
+    def test_price_off_by_1e_6_fails_settlement_only(self, seed, monkeypatch):
+        model, base, _ = _reference_case(seed)
+
+        def solve(m, F):
+            sol = tl.solve_linear(m, F)
+            return dataclasses.replace(sol, prices=sol.prices * (1 + 1e-6))
+
+        monkeypatch.setattr(checks, "solve_linear", solve)
+        _, linear = checks.check_oracles(model, base)
+        steps, share = _linear_halves(linear)
+        assert linear.status == "FAIL"
+        assert steps <= 1.0 and share > 1.0
+
+    @pytest.mark.parametrize("seed", BAND_FALSE_FAIL_SEEDS)
+    def test_price_for_the_wrong_target_fails_settlement_only(self, seed, monkeypatch):
+        model, base, _ = _reference_case(seed)
+        monkeypatch.setattr(
+            checks, "solve_linear", lambda m, F: tl.solve_linear(m, F * (1 + 1e-6))
+        )
+        _, linear = checks.check_oracles(model, base)
+        steps, share = _linear_halves(linear)
+        assert linear.status == "FAIL"
+        assert steps <= 1.0 and share > 1.0
+
+    @pytest.mark.parametrize("seed", BAND_FALSE_FAIL_SEEDS)
+    def test_price_two_steps_off_fails_the_grid(self, seed, monkeypatch):
+        model, base, step = _reference_case(seed)
+
+        def solve(m, F):
+            sol = tl.solve_linear(m, F)
+            prices = sol.prices.copy()
+            prices[0] += 2 * step
+            return dataclasses.replace(sol, prices=prices)
+
+        monkeypatch.setattr(checks, "solve_linear", solve)
+        _, linear = checks.check_oracles(model, base)
+        steps, _ = _linear_halves(linear)
+        assert linear.status == "FAIL"
+        assert steps > 1.0
+
+    @pytest.mark.parametrize("seed", BAND_FALSE_FAIL_SEEDS)
+    def test_two_part_price_two_steps_off_fails(self, seed, monkeypatch):
+        model, base, step = _reference_case(seed)
+
+        def solve(m, F):
+            tariff = tl.solve_two_part(m, F)
+            prices = tariff.prices.copy()
+            prices[0] += 2 * step
+            return dataclasses.replace(tariff, prices=prices)
+
+        monkeypatch.setattr(checks, "solve_two_part", solve)
+        two_part, linear = checks.check_oracles(model, base)
+        assert two_part.status == "FAIL"
+        assert linear.status == "PASS"

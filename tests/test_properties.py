@@ -241,8 +241,12 @@ def test_sweep_rows_equal_one_target_solves_on_bundled_model(bundled_model):
     assert_sweep_rows_are_solves(bundled_model, baseline, front_grid(bundled_model, 41, 0.5))
 
 
+# a flat rate can leave some period's expected demand negative, and the
+# solvers then warn; this test checks welfare dominance, not demand's sign
+@pytest.mark.filterwarnings("ignore::tarifflab.errors.PriceSignWarning")
 @settings(max_examples=20, deadline=None)
 @given(SEEDS, st.floats(0.1, 0.9), st.floats(0.0, 1.0))
+@example(seed=6531, frac=0.5, charge_frac=0.0)  # a flat rate that warns
 def test_dominance_across_families(seed, frac, charge_frac):
     model = make_model(seed)
     baseline = tl.Tariff(
