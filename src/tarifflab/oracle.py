@@ -100,8 +100,12 @@ def settle_scenarios(model: DemandModel, tariff: Tariff) -> SettlementLedger:
 def _point_blocks(grid: GridSpec, flat: bool):
     """Yield (K, N) blocks of grid points in lexicographic order."""
     n = len(grid.axes)
-    if flat or n == 1:
-        yield np.repeat(grid.axis_points(0)[:, None], n, axis=1)
+    if flat:
+        pts = grid.axis_points(0)
+        yield np.repeat(pts[:, None], n, axis=1)
+        return
+    if n == 1:
+        yield grid.axis_points(0)[:, None]
         return
     # block per leading-axis value keeps memory bounded for 3-D grids
     tail = np.array(list(itertools.product(*[grid.axis_points(i) for i in range(1, n)])))
@@ -113,16 +117,21 @@ def _point_blocks(grid: GridSpec, flat: bool):
         yield block
 
 
-def _block_argmax(
+def _grid_argmax_lagrangian(
     model: LinearDemandModel,
     baseline: Tariff,
     grid: GridSpec,
-    objectives,
+    multipliers,
+    feasible=None,
     flat: bool = False,
 ) -> list[tuple[np.ndarray | None, float]]:
-    """(pi, value) maximizing each objective(delta_sw, rs) over the grid, pi
-    None where every value is -inf; exact ties go to the lexicographically
-    smallest pi. Each block's welfare gain and margin are computed once.
+    """(pi, value) maximizing delta_sw + mu * phi_bar for each multiplier mu.
+
+    Welfare and margin are concave, so the welfare maximizer at margin F is
+    this Lagrangian's unconstrained maximizer at F's multiplier. `feasible`
+    masks grid points by their margin (pi is None where none is feasible);
+    exact ties go to the lexicographically smallest pi. Each block's welfare
+    gain and margin are computed once.
     """
     if len(grid.axes) != model.periods:
         raise ValueError(
@@ -138,7 +147,7 @@ def _block_argmax(
     cs_base = 0.5 * float(pib @ G @ pib) - float(pib @ om)
     rs_base = float((pib - lam) @ (om - G @ pib)) - tr_sigma
 
-    best = [(None, -np.inf)] * len(objectives)
+    best = [(None, -np.inf)] * len(multipliers)
     for pts in _point_blocks(grid, flat):
         gp = pts @ G  # G symmetric: row i is G @ pts[i]
         quad = 0.5 * np.einsum("ij,ij->i", pts, gp)
@@ -147,8 +156,10 @@ def _block_argmax(
         # connection charges cancel in delta_sw, so they are omitted from
         # both sides
         delta_sw = (cs - cs_base) + (rs - rs_base)
-        for k, objective in enumerate(objectives):
-            values = objective(delta_sw, rs)
+        if feasible is not None:
+            delta_sw = np.where(feasible(rs), delta_sw, -np.inf)
+        for k, mu in enumerate(multipliers):
+            values = delta_sw + mu * rs
             i = int(np.argmax(values))
             # strict > keeps the first (lexicographically smallest) tie-holder
             if values[i] > best[k][1]:
@@ -172,30 +183,16 @@ def grid_argmax_welfare(
     space of the flat tariff families). Returns (pi, delta_sw); exact ties go
     to the lexicographically smallest pi.
     """
-    def objective(delta_sw, rs):
-        if constraint is None:
-            return delta_sw
+    def feasible(rs):
         gap = np.abs(rs + model.customers * connection_charge - constraint.target)
-        return np.where(gap <= constraint.band, delta_sw, -np.inf)
+        return gap <= constraint.band
 
-    ((pi, value),) = _block_argmax(model, baseline, grid, [objective], flat)
+    ((pi, value),) = _grid_argmax_lagrangian(
+        model, baseline, grid, (0.0,), None if constraint is None else feasible, flat
+    )
     if pi is None:
         raise EmptyFeasibleSet(
             f"no grid point within {constraint.band!r} of rs target "
             f"{constraint.target!r}"
         )
     return pi, value
-
-
-def _grid_argmax_lagrangian(
-    model: LinearDemandModel, baseline: Tariff, grid: GridSpec, multipliers
-) -> list[tuple[np.ndarray, float]]:
-    """(pi, value) maximizing delta_sw + mu * phi_bar for each multiplier mu.
-
-    Welfare and margin are concave, so the welfare maximizer at margin F is
-    this Lagrangian's unconstrained maximizer at F's multiplier.
-    """
-    return _block_argmax(
-        model, baseline, grid,
-        [lambda delta_sw, rs, mu=mu: delta_sw + mu * rs for mu in multipliers],
-    )
