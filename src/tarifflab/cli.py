@@ -116,7 +116,10 @@ def _baseline_flags(baseline: Tariff) -> dict:
 
 def _resolve_target(raw: str, model: LinearDemandModel, baseline: Tariff) -> float:
     if raw == "baseline":
-        return retailer_surplus(model, baseline)
+        target = retailer_surplus(model, baseline)
+        if not math.isfinite(target):
+            raise ValueError(f"the baseline tariff's revenue {target!r} is not finite")
+        return target
     try:
         return float(raw)
     except ValueError:

@@ -234,6 +234,10 @@ class LinearDemandModel(DemandModel):
         if self.customers < 0:
             raise ValueError("customer count must be nonnegative")
         object.__setattr__(self, "G", G)
+        satiation = _readonly(np.linalg.solve(G, self.scenarios.omega_bar))
+        if not np.isfinite(satiation).all():
+            raise ValueError("the satiation price G^-1 omega_bar must be finite")
+        object.__setattr__(self, "_satiation_price", satiation)
 
     def demand(self, pi: np.ndarray, scenario: int) -> np.ndarray:
         return self.scenarios.omegas[scenario] - self.G @ np.asarray(pi, dtype=float)
@@ -266,10 +270,6 @@ class LinearDemandModel(DemandModel):
     def satiation_price(self) -> np.ndarray:
         """Price at which expected demand vanishes: G^-1 omega_bar (read-only)."""
         return self._satiation_price
-
-    @cached_property
-    def _satiation_price(self) -> np.ndarray:
-        return _readonly(np.linalg.solve(self.G, self.scenarios.omega_bar))
 
     @cached_property
     def _omega_column(self) -> np.ndarray:

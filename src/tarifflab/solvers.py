@@ -7,10 +7,10 @@ prices collect the revenue target. Flat-rate variants solve the same problem
 on the diagonal.
 
 The model's type picks the path. A `LinearDemandModel` (deterministic price
-response) takes the closed forms: the two-part markup vanishes, the Ramsey
-and monopoly prices lie on the ray from the expected wholesale price to the
-satiation price, where the margin is a scalar quadratic in the markup, and
-each flat rate is the low root of another scalar quadratic. Any other
+response) takes closed forms: the two-part markup vanishes, and every other
+price lies on a line, the ray from the expected wholesale price to the
+satiation price or the flat diagonal, at the low root of one scalar
+quadratic (`_low_root`), reaching targets down to -1.7e308. Any other
 `DemandModel` iterates: an outer bisection of the markup intensity against
 the target around an inner damped fixed point on the price vector, and for
 flat rates a ternary search for the peak, bracketed by walks out to both
@@ -130,6 +130,26 @@ def _band_checked(model: DemandModel, pi: np.ndarray, target: float) -> float:
             f"for target {target!r}"
         )
     return achieved
+
+
+def _low_root(
+    model: LinearDemandModel, base: np.ndarray, v: np.ndarray, target: float
+) -> float:
+    """Linear demand: the lowest x with phi_bar(base + x v) = `target`, or
+    the peak x = g/2q of the margin phi_bar(base) + g x - q x^2 (q = v'Gv,
+    `base` at or below the peak) for a target at or above the peak margin.
+    With u = target - phi_bar(base), x = u / (g/2 + sqrt(q) sqrt(g^2/4q - u))
+    neither cancels nor overflows."""
+    gv = model.G @ v
+    q = float(gv @ v)
+    if not q > 0.0:  # a zero-length v
+        return 0.0
+    lam_bar = model.scenarios.lambda_bar
+    g = float(gv @ ((model.satiation_price() - base) + (lam_bar - base)))
+    peak = g / (2.0 * q)
+    rise = 0.5 * g * peak  # g^2 / 4q, the margin gained from base to the peak
+    u = target - phi_bar(model, base)
+    return peak if u >= rise else u / (0.5 * g + math.sqrt(q) * math.sqrt(rise - u))
 
 
 def _bisect_target(
@@ -287,14 +307,11 @@ def monopoly_price(model: DemandModel, *, verify: bool = True) -> np.ndarray:
 def _ramsey_solve(model: DemandModel, F: float) -> tuple[float, np.ndarray, float]:
     """Ramsey price collecting F: (s, prices, achieved margin), s = rho/(1+rho).
 
-    Linear demand: the price is pi* + s d with d = G^-1 omega_bar - pi*, the
-    ray to the satiation price, on which the margin is
-    s (1 - s) d'Gd - tr(Sigma). So s is the low root 2c / (1 + sqrt(1 - 4c))
-    of s (1 - s) = c = (F + tr(Sigma)) / d'Gd, with c clipped to [0, 1/4] so
-    that the ends of the range are exact, and a target at or above
-    phi_bar(pi_M) gets s = 1/2, the monopoly markup. Generic demand bisects
-    s over [0, 1/2] (the low-markup branch, on which the collected margin
-    increases monotonically).
+    Linear demand: s is `_low_root` on the ray d = G^-1 omega_bar - pi* to
+    the satiation price; a target just below phi_bar(pi*) gets s = 0, and one
+    at or above phi_bar(pi_M) the monopoly markup s = 1/2 exactly, not a root
+    a rounding step short of it. Generic demand bisects s over [0, 1/2] (the
+    low-markup branch, on which the collected margin increases monotonically).
     """
     _require_finite(F)
     pistar = _two_part_price(model)
@@ -309,13 +326,7 @@ def _ramsey_solve(model: DemandModel, F: float) -> tuple[float, np.ndarray, floa
 
     if isinstance(model, LinearDemandModel):
         d = model.satiation_price() - pistar
-        dgd = float(d @ model.G @ d)
-        if F >= phi_max:
-            s = 0.5
-        else:
-            c = (F + model.scenarios.trace_sigma) / dgd if dgd > 0 else 0.0
-            c = min(max(c, 0.0), 0.25)
-            s = 2.0 * c / (1.0 + math.sqrt(1.0 - 4.0 * c))
+        s = 0.5 if F >= phi_max else _low_root(model, pistar, d, max(F, phi_star))
         pi = pistar + s * d
         return s, pi, _band_checked(model, pi, F)
 
@@ -368,14 +379,21 @@ def _flat_walk(
             step *= 2.0
 
 
+def _flat_rate(model: LinearDemandModel, target: float) -> float:
+    """Linear demand: `_low_root` along 1 from a base at or below the peak,
+    the midpoint of the welfare-best rate 1'G lam_bar / 1'G1 and the
+    satiation rate 1'omega_bar / 1'G1; 0, where lower still, keeps a positive
+    rate from cancelling against the base."""
+    ones = np.ones(model.periods)
+    g1 = model.G @ ones
+    base = min(0.0, float(g1 @ model.scenarios.lambda_bar),
+               float(ones @ model.scenarios.omega_bar)) / float(ones @ g1)
+    return base + _low_root(model, np.full(model.periods, base), ones, target)
+
+
 def _flat_monopoly_rate(model: DemandModel) -> float:
     if isinstance(model, LinearDemandModel):
-        ones = np.ones(model.periods)
-        g1 = model.G @ ones
-        return float(
-            (ones @ model.scenarios.omega_bar + model.scenarios.lambda_bar @ g1)
-            / (2.0 * float(ones @ g1))
-        )
+        return _flat_rate(model, math.inf)
     # generic demand: walk out both ways from the mean wholesale price until
     # the margin is no higher than there, which brackets the peak of a
     # concave margin wherever it lies, then ternary-search the bracket
@@ -395,35 +413,12 @@ def _flat_monopoly_rate(model: DemandModel) -> float:
     return 0.5 * (lo + hi)
 
 
-def _flat_closed_root(model: LinearDemandModel, peak: float, target: float) -> float:
-    """Linear demand: the low root of the flat margin's quadratic.
-
-    phi_bar(r 1) = -a r^2 + b r - c0 with a = 1'G1, c0 = lam_bar'omega_bar
-    + tr(Sigma) and peak rate p = b / 2a, so the rate meeting `target` is
-    r = p - sqrt(p^2 - c/a), c = c0 + target; a target above the peak margin
-    is met at the peak.
-    """
-    ss = model.scenarios
-    ones = np.ones(model.periods)
-    a = float(ones @ (model.G @ ones))
-    c = min(float(ss.lambda_bar @ ss.omega_bar) + ss.trace_sigma + target,
-            a * peak * peak)
-    # sqrt(p^2 - c/a) from w = sqrt(|c| / a), scaled by the larger of |p| and
-    # w so that no square overflows, even at a target near -1e308
-    w = math.sqrt(abs(c)) / math.sqrt(a)
-    scale = max(w, abs(peak), np.finfo(float).tiny)
-    p_s, w_s = peak / scale, w / scale
-    root = scale * math.sqrt(max(p_s * p_s - math.copysign(w_s * w_s, c), 0.0))
-    # p - root, without cancelling p against root when p > 0
-    return c / (a * (peak + root)) if peak > 0 else peak - root
-
-
 def _flat_low_root(model: DemandModel, target: float) -> float:
     """Lowest rate whose flat margin hits `target` (the low-markup root).
 
-    Linear demand takes the closed form; generic demand walks left from the
-    peak until the margin falls below the target, then bisects on the
-    increasing branch.
+    Linear demand takes the closed form (`_flat_rate`); generic demand walks
+    left from the peak until the margin falls below the target, then bisects
+    on the increasing branch.
     """
     _require_finite(target)
     rate_m = _flat_monopoly_rate(model)
@@ -431,7 +426,7 @@ def _flat_low_root(model: DemandModel, target: float) -> float:
     if target > phi_max + rs_tolerance(target):
         raise InfeasibleTarget(target, (-math.inf, phi_max))
     if isinstance(model, LinearDemandModel):
-        rate = _flat_closed_root(model, rate_m, target)
+        rate = _flat_rate(model, target)
         _band_checked(model, np.full(model.periods, rate), target)
         return rate
     lo = _flat_walk(model, rate_m, -1.0, target)

@@ -142,6 +142,19 @@ class TestFit:
         assert not out.exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_subnormal_price_response_refused_by_name(self, tmp_path, tiny_csvs, capsys):
+        # G scales with the elasticity: at -1e-310 it is subnormal, and the
+        # satiation price G^-1 omega_bar that every command needs overflows
+        load, prices = tiny_csvs
+        out = tmp_path / "m.tlm"
+        code = main([
+            "fit", "--load", str(load), "--prices", str(prices),
+            "--elasticity=-1e-310", "--out", str(out),
+        ])
+        assert code == 2
+        assert "satiation price G^-1 omega_bar must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error_reports_location(self, tmp_path, tiny_csvs, capsys):
         load, prices = tiny_csvs
         bad = tmp_path / "bad.csv"
@@ -262,6 +275,16 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "rho:" in out
 
+    def test_overflowing_baseline_target_names_the_baseline(
+        self, bundled_model_file, capsys
+    ):
+        code = main([
+            "solve", "--model", str(bundled_model_file), "--family", "fixed-A-two-part",
+            "--target-rs", "baseline", "--connection-charge", "1e308",
+        ])
+        assert code == 2
+        assert "the baseline tariff's revenue inf is not finite" in capsys.readouterr().err
+
     def test_infeasible_exit_3_with_range(self, i2_model_file, capsys):
         code = main([
             "solve", "--model", str(i2_model_file), "--family", "linear",
@@ -378,7 +401,7 @@ class TestSolve:
         assert "gamma: inf" in lines
 
     @pytest.mark.parametrize("family", ["flat-linear", "adjusted-flat"])
-    @pytest.mark.parametrize("target", ["-1e300", "-1e200"])
+    @pytest.mark.parametrize("target", ["-1.7e308", "-1e308", "-1e300", "-1e200"])
     def test_huge_negative_flat_target(
         self, bundled_model_file, tmp_path, capsys, family, target
     ):

@@ -182,6 +182,17 @@ class TestMonopolyPrice:
         model = tl.LinearDemandModel(G=G_I2, scenarios=scenarios, customers=1)
         np.testing.assert_allclose(tl.monopoly_price(model), lam, atol=1e-12)
 
+    @pytest.mark.parametrize("F, rho", [(-1e-9, 0.0), (0.0, 1.0)])
+    def test_zero_length_ramsey_ray(self, F, rho):
+        # omega_bar = G lam_bar puts the satiation price at the cost, so the
+        # Ramsey ray has zero length: every feasible target is met at cost
+        lam = np.array([1.0, 2.0])
+        scenarios = tl.ScenarioSet(lams=[lam], omegas=[G_I2 @ lam])
+        model = tl.LinearDemandModel(G=G_I2, scenarios=scenarios, customers=1)
+        sol = tl.solve_linear(model, F)
+        np.testing.assert_array_equal(sol.prices, lam)
+        assert sol.rho == rho
+
     def test_linear_solver_limit_is_monopoly_price(self, i2_model):
         sol = tl.solve_linear(i2_model, 32.0)
         np.testing.assert_allclose(sol.prices, [4.5, 7.0], atol=1e-6)
@@ -476,8 +487,9 @@ class TestGenericFlatPath:
     against the closed form on the same demand."""
 
     # I2's demand states, and their negatives: mean demand below zero, as on
-    # a solar-heavy feeder, moves the flat peak to a negative rate (-3.875)
-    @pytest.mark.parametrize("omega_bar", [(10.0, 8.0), (-10.0, -8.0)])
+    # a solar-heavy feeder, moves the flat peak to a negative rate (-3.875);
+    # at (1.5, 1.0) the welfare-best and satiation flat rates coincide (1.25)
+    @pytest.mark.parametrize("omega_bar", [(10.0, 8.0), (-10.0, -8.0), (1.5, 1.0)])
     # residual targets this far below the peak flat margin (0: the top of the
     # range); at the first two the root, about -sqrt(gap / 1'G1), lies far
     # past any fixed step cap
