@@ -24,7 +24,6 @@ from .checks import run_model_checks
 from .errors import InfeasibleTarget, InvalidRegime, NegativePrice, TariffLabError
 from .ingest import (
     CalibrationConfig,
-    ModelFilePayload,
     RawSeries,
     calibrate_demand,
     estimate_moments,
@@ -85,25 +84,28 @@ def _scaled_prices(series: RawSeries, unit: str) -> RawSeries:
     return dataclasses.replace(series, values=series.values * 1e-3)
 
 
-def _resolve_baseline(
-    payload: ModelFilePayload, model: LinearDemandModel, args
-) -> Tariff:
-    rate = getattr(args, "flat_rate", None)
-    charge = getattr(args, "connection_charge", None)
-    if rate is None:
-        rate = payload.baseline_flat_rate
-    if charge is None:
-        charge = payload.baseline_connection_charge
-    if rate is None or charge is None:
-        raise ValueError(
-            "model file carries no baseline tariff; pass --flat-rate and "
-            "--connection-charge"
-        )
-    return Tariff(
-        connection_charge=float(charge),
-        prices=np.full(model.periods, float(rate)),
-        family="adjusted-flat",
+def _load_model(args) -> tuple[LinearDemandModel, Tariff]:
+    """The model in `--model` and its baseline tariff, with `--flat-rate` and
+    `--connection-charge` in place of the file's; an error names the file."""
+    overrides = {
+        "baseline_flat_rate": args.flat_rate,
+        "baseline_connection_charge": args.connection_charge,
+    }
+    payload = dataclasses.replace(
+        read_model_file(args.model),
+        **{key: value for key, value in overrides.items() if value is not None},
     )
+    try:
+        model = payload.to_model()
+    except ValueError as exc:
+        raise ValueError(f"{args.model}: {exc}") from exc
+    baseline = payload.baseline_tariff()
+    if baseline is None:
+        raise ValueError(
+            f"{args.model}: model file carries no baseline tariff; pass "
+            "--flat-rate and --connection-charge"
+        )
+    return model, baseline
 
 
 def _baseline_flags(baseline: Tariff) -> dict:
@@ -220,9 +222,7 @@ def print_solution(
 
 
 def cmd_solve(args) -> int:
-    payload = read_model_file(args.model)
-    model = payload.to_model()
-    baseline = _resolve_baseline(payload, model, args)
+    model, baseline = _load_model(args)
     F = _resolve_target(args.target_rs, model, baseline)
     family = _ALIASES[args.family]
     tariff, diagnostics = FAMILIES[family].solve(model, F, baseline)
@@ -258,9 +258,7 @@ def cmd_pareto(args) -> int:
         raise ValueError(f"--steps must be >= 1, got {steps}")
     if steps > MAX_STEPS:
         raise ValueError(f"--steps must be at most {MAX_STEPS}, got {steps}")
-    payload = read_model_file(args.model)
-    model = payload.to_model()
-    baseline = _resolve_baseline(payload, model, args)
+    model, baseline = _load_model(args)
     families = _parse_families(args.families)
     if args.f_min is not None or args.f_max is not None:
         if args.f_min is None or args.f_max is None:
@@ -305,7 +303,10 @@ def cmd_pareto(args) -> int:
 
 def cmd_check(args) -> int:
     payload = read_model_file(args.model)
-    results = run_model_checks(payload)
+    try:
+        results = run_model_checks(payload)
+    except ValueError as exc:
+        raise ValueError(f"{args.model}: {exc}") from exc
     failed = [r for r in results if r.failed]
     for r in results:
         print(f"{r.status} {r.name}: {r.detail}")
@@ -329,14 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--prices", required=True, help="hourly price CSV (day,hour,value)")
     fit.add_argument("--price-unit", choices=["kwh", "mwh"], default="kwh",
                      help="price unit in the CSV ($/kWh or $/MWh)")
-    fit.add_argument("--flat-rate", type=float, default=0.172,
+    defaults = CalibrationConfig()
+    fit.add_argument("--flat-rate", type=float, default=defaults.flat_rate,
                      help="baseline flat rate pi_CE, $/kWh")
-    fit.add_argument("--elasticity", type=float, default=-0.3,
+    fit.add_argument("--elasticity", type=float,
+                     default=defaults.elasticity_target,
                      help="target aggregate own-price elasticity at the flat rate")
-    fit.add_argument("--alpha", type=float, default=0.2,
+    fit.add_argument("--alpha", type=float, default=defaults.alpha,
                      help="geometric decay of the substitution kernel, in [0,1)")
-    fit.add_argument("--customers", type=int, default=2_200_000)
-    fit.add_argument("--connection-charge", type=float, default=0.52,
+    fit.add_argument("--customers", type=int, default=defaults.customers)
+    fit.add_argument("--connection-charge", type=float,
+                     default=defaults.connection_charge,
                      help="baseline connection charge A_CE, $/customer/cycle")
     fit.add_argument("--out", required=True, help="model file to write")
     fit.set_defaults(func=cmd_fit)

@@ -129,7 +129,7 @@ def parse_csv(path, kind: str) -> RawSeries:
     series = _parse_dense(data, kind)
     if series is None:
         _decode(data, MalformedRow)  # locate a byte that is not UTF-8 first
-        series = _parse_rows(path, kind)
+        series = _parse_rows(data, kind)
     return series
 
 
@@ -203,10 +203,12 @@ def _located_rows(reader):
         raise MalformedRow(reader.line_num, str(exc)) from None
 
 
-def _parse_rows(path: Path, kind: str) -> RawSeries:
-    """Row-by-row reader: any CSV the `csv` module reads, every error located."""
+def _parse_rows(data: bytes, kind: str) -> RawSeries:
+    """Row-by-row reader of a UTF-8 CSV's bytes: any CSV the `csv` module
+    reads, every error located."""
     cells: dict[tuple[int, int], float] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
+    # decoded a chunk at a time, so no whole copy of the text is held
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = _located_rows(csv.reader(fh))
         try:
             header = next(reader)
@@ -593,36 +595,19 @@ def read_model_file(path) -> ModelFilePayload:
 
     # stored moments are derived; verify them against the scenarios so silent
     # file edits are caught at load time
-    lambda_bar, omega_bar, sigma = scenario_moments(lams, omegas)
-    for key, expect_vals, expect_n in (
-        ("lambda_bar", lambda_bar, periods),
-        ("omega_bar", omega_bar, periods),
-    ):
+    keys = ("lambda_bar", "omega_bar", "sigma_lambda_omega")
+    for key, expected in zip(keys, scenario_moments(lams, omegas)):
         line_no, text = need(key)
-        stored = _checked(path, line_no, _floats(text), expect_n, key)
-        scale = max(1.0, float(np.abs(expect_vals).max()))
-        if float(np.abs(stored - expect_vals).max()) > 1e-9 * scale:
+        stored = _checked(path, line_no, _floats(text), expected.size, key)
+        scale = max(1.0, float(np.abs(expected).max()))
+        if float(np.abs(stored - expected.ravel()).max()) > 1e-9 * scale:
             raise ModelFileError(path, line_no, f"{key} disagrees with scenarios")
-    line_no, text = need("sigma_lambda_omega")
-    stored_sigma = _checked(
-        path, line_no, _floats(text), periods * periods, "sigma_lambda_omega"
-    ).reshape(periods, periods)
-    scale = max(1.0, float(np.abs(sigma).max()))
-    if float(np.abs(stored_sigma - sigma).max()) > 1e-9 * scale:
-        raise ModelFileError(path, line_no, "sigma_lambda_omega disagrees with scenarios")
 
-    flat_rate = None
-    charge = None
-    if "baseline.flat_rate" in entries:
-        line_no, text = entries["baseline.flat_rate"]
-        flat_rate = float(
-            _checked(path, line_no, _floats(text), 1, "baseline.flat_rate")[0]
-        )
-    if "baseline.connection_charge" in entries:
-        line_no, text = entries["baseline.connection_charge"]
-        charge = float(
-            _checked(path, line_no, _floats(text), 1, "baseline.connection_charge")[0]
-        )
+    flat_rate, charge = (
+        float(_checked(path, entries[key][0], _floats(entries[key][1]), 1, key)[0])
+        if key in entries else None
+        for key in ("baseline.flat_rate", "baseline.connection_charge")
+    )
 
     return ModelFilePayload(
         periods=periods,

@@ -10,9 +10,9 @@ The model's type picks the path. A `LinearDemandModel` (deterministic price
 response) takes closed forms: the two-part markup vanishes, and every other
 price lies on a line, the ray from the expected wholesale price to the
 satiation price or the flat diagonal, at the low root of one scalar
-quadratic (`_low_root`), reaching targets down to -1.7e308. Any other
-`DemandModel` iterates: an outer bisection of the markup intensity against
-the target around an inner damped fixed point on the price vector, and for
+quadratic (`_low_root`), reaching targets down to -1.7e308; the same pass
+gives the line's peak. Any other `DemandModel` iterates: a bisection of the
+markup intensity around a damped fixed point on the price vector, and for
 flat rates a ternary search for the peak, bracketed by walks out to both
 sides, then a walk left from the peak and a bisection for the root. The
 walks double their step with no cap. Every path ends with the same revenue
@@ -133,23 +133,23 @@ def _band_checked(model: DemandModel, pi: np.ndarray, target: float) -> float:
 
 
 def _low_root(
-    model: LinearDemandModel, base: np.ndarray, v: np.ndarray, target: float
-) -> float:
-    """Linear demand: the lowest x with phi_bar(base + x v) = `target`, or
-    the peak x = g/2q of the margin phi_bar(base) + g x - q x^2 (q = v'Gv,
-    `base` at or below the peak) for a target at or above the peak margin.
-    With u = target - phi_bar(base), x = u / (g/2 + sqrt(q) sqrt(g^2/4q - u))
+    model: LinearDemandModel, base: np.ndarray, v: np.ndarray, u: float
+) -> tuple[float, float]:
+    """Linear demand: (root, peak) on the line base + x v, whose margin is
+    phi_bar(base) + g x - q x^2 (q = v'Gv, `base` at or below the peak
+    x = g/2q). The root is the lowest x where the margin has risen by `u`, or
+    the peak if it never does. x = u / (g/2 + sqrt(q) sqrt(g^2/4q - u))
     neither cancels nor overflows."""
     gv = model.G @ v
     q = float(gv @ v)
     if not q > 0.0:  # a zero-length v
-        return 0.0
+        return 0.0, 0.0
     lam_bar = model.scenarios.lambda_bar
     g = float(gv @ ((model.satiation_price() - base) + (lam_bar - base)))
     peak = g / (2.0 * q)
     rise = 0.5 * g * peak  # g^2 / 4q, the margin gained from base to the peak
-    u = target - phi_bar(model, base)
-    return peak if u >= rise else u / (0.5 * g + math.sqrt(q) * math.sqrt(rise - u))
+    x = peak if u >= rise else u / (0.5 * g + math.sqrt(q) * math.sqrt(rise - u))
+    return x, peak
 
 
 def _bisect_target(
@@ -279,6 +279,13 @@ def solve_two_part(model: DemandModel, F: float) -> Tariff:
     return Tariff(connection_charge=charge, prices=pi, family="two-part-optimal")
 
 
+def _monopoly_price(model: DemandModel, pistar: np.ndarray) -> np.ndarray:
+    """`monopoly_price`, unverified, from the two-part price `pistar`."""
+    if isinstance(model, LinearDemandModel):
+        return 0.5 * (model.satiation_price() + pistar)
+    return _markup_price(model, 1.0, pistar, pistar)
+
+
 def monopoly_price(model: DemandModel, *, verify: bool = True) -> np.ndarray:
     """Price maximizing the expected volumetric margin (feasibility frontier).
 
@@ -287,12 +294,7 @@ def monopoly_price(model: DemandModel, *, verify: bool = True) -> np.ndarray:
     `verify`, spot-checks that nearby prices do not collect a strictly
     larger margin.
     """
-    if isinstance(model, LinearDemandModel):
-        pim = 0.5 * (model.satiation_price() + model.scenarios.lambda_bar)
-    else:
-        pistar = _two_part_price(model)
-        pim = _markup_price(model, 1.0, pistar, pistar)
-
+    pim = _monopoly_price(model, _two_part_price(model))
     if verify:
         base = phi_bar(model, pim)
         scale = max(1.0, abs(base))
@@ -316,8 +318,7 @@ def _ramsey_solve(model: DemandModel, F: float) -> tuple[float, np.ndarray, floa
     _require_finite(F)
     pistar = _two_part_price(model)
     phi_star = phi_bar(model, pistar)
-    pim = monopoly_price(model, verify=False)
-    phi_max = phi_bar(model, pim)
+    phi_max = phi_bar(model, _monopoly_price(model, pistar))
     tol = rs_tolerance(F)
     if F < phi_star - tol:
         raise InvalidRegime(F, phi_star)
@@ -326,7 +327,8 @@ def _ramsey_solve(model: DemandModel, F: float) -> tuple[float, np.ndarray, floa
 
     if isinstance(model, LinearDemandModel):
         d = model.satiation_price() - pistar
-        s = 0.5 if F >= phi_max else _low_root(model, pistar, d, max(F, phi_star))
+        u = max(F - phi_star, 0.0)
+        s = 0.5 if F >= phi_max else _low_root(model, pistar, d, u)[0]
         pi = pistar + s * d
         return s, pi, _band_checked(model, pi, F)
 
@@ -379,24 +381,10 @@ def _flat_walk(
             step *= 2.0
 
 
-def _flat_rate(model: LinearDemandModel, target: float) -> float:
-    """Linear demand: `_low_root` along 1 from a base at or below the peak,
-    the midpoint of the welfare-best rate 1'G lam_bar / 1'G1 and the
-    satiation rate 1'omega_bar / 1'G1; 0, where lower still, keeps a positive
-    rate from cancelling against the base."""
-    ones = np.ones(model.periods)
-    g1 = model.G @ ones
-    base = min(0.0, float(g1 @ model.scenarios.lambda_bar),
-               float(ones @ model.scenarios.omega_bar)) / float(ones @ g1)
-    return base + _low_root(model, np.full(model.periods, base), ones, target)
-
-
 def _flat_monopoly_rate(model: DemandModel) -> float:
-    if isinstance(model, LinearDemandModel):
-        return _flat_rate(model, math.inf)
-    # generic demand: walk out both ways from the mean wholesale price until
-    # the margin is no higher than there, which brackets the peak of a
-    # concave margin wherever it lies, then ternary-search the bracket
+    """Generic demand: walk out both ways from the mean wholesale price until
+    the margin is no higher than there, which brackets the peak of a concave
+    margin wherever it lies, then ternary-search the bracket."""
     start = float(model.scenarios.lambda_bar.mean())
     level = _flat_phi(model, start)
     lo = _flat_walk(model, start, -1.0, level)
@@ -416,17 +404,29 @@ def _flat_monopoly_rate(model: DemandModel) -> float:
 def _flat_low_root(model: DemandModel, target: float) -> float:
     """Lowest rate whose flat margin hits `target` (the low-markup root).
 
-    Linear demand takes the closed form (`_flat_rate`); generic demand walks
-    left from the peak until the margin falls below the target, then bisects
-    on the increasing branch.
+    Linear demand takes the root and the peak from one `_low_root` along 1,
+    from a base at or below the peak: the lowest of the welfare-best rate
+    1'G lam_bar / 1'G1, the satiation rate 1'omega_bar / 1'G1 and 0, which
+    keeps a positive rate from cancelling against the base. Generic demand
+    walks left from the peak until the margin falls below the target, then
+    bisects on the increasing branch.
     """
     _require_finite(target)
-    rate_m = _flat_monopoly_rate(model)
+    linear = isinstance(model, LinearDemandModel)
+    if linear:
+        ones = np.ones(model.periods)
+        g1 = model.G @ ones
+        base = min(0.0, float(g1 @ model.scenarios.lambda_bar),
+                   float(ones @ model.scenarios.omega_bar)) / float(ones @ g1)
+        at_base = np.full(model.periods, base)
+        x, peak = _low_root(model, at_base, ones, target - phi_bar(model, at_base))
+        rate, rate_m = base + x, base + peak
+    else:
+        rate_m = _flat_monopoly_rate(model)
     phi_max = _flat_phi(model, rate_m)
     if target > phi_max + rs_tolerance(target):
         raise InfeasibleTarget(target, (-math.inf, phi_max))
-    if isinstance(model, LinearDemandModel):
-        rate = _flat_rate(model, target)
+    if linear:
         _band_checked(model, np.full(model.periods, rate), target)
         return rate
     lo = _flat_walk(model, rate_m, -1.0, target)

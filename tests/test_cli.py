@@ -78,6 +78,19 @@ class TestFit:
         assert payload.baseline_flat_rate == 0.05
         assert payload.provenance["command"] == "fit"
 
+    def test_defaults_are_the_calibration_defaults(self):
+        from tarifflab.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["fit", "--load", "l.csv", "--prices", "p.csv", "--out", "m.tlm"]
+        )
+        config = tl.CalibrationConfig(
+            flat_rate=args.flat_rate, elasticity_target=args.elasticity,
+            alpha=args.alpha, customers=args.customers,
+            connection_charge=args.connection_charge,
+        )
+        assert config == tl.CalibrationConfig()
+
     def test_zero_elasticity_refused(self, tmp_path, tiny_csvs):
         load, prices = tiny_csvs
         code = main([
@@ -294,6 +307,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "feasible range" in err
         assert "32.0" in err
+
+    def test_below_regime_floor_exit_3(self, i2_model_file, capsys):
+        code = main([
+            "solve", "--model", str(i2_model_file), "--family", "linear",
+            "--target-rs=-1e9",
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "revenue target -1000000000.0 is below the large-F regime floor 0.0\n"
+        )
 
     def test_bad_target_exit_2(self, i2_model_file, capsys):
         code = main([
@@ -561,6 +586,18 @@ class TestPareto:
         assert lines == expected.splitlines()
         assert [row.split(",")[1] for row in lines[1:]] == ["-1000.0", "-550.0", "-100.0"]
 
+    @pytest.mark.parametrize("args, message", [
+        (["--steps", "0"], "--steps must be >= 1, got 0"),
+        (["--f-min", "0"], "--f-min and --f-max must be given together"),
+        (["--f-max", "0"], "--f-min and --f-max must be given together"),
+    ])
+    def test_grid_options_are_input_errors(self, i2_model_file, capsys, args, message):
+        code = main(["pareto", "--model", str(i2_model_file), *args])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_single_step_with_unequal_bounds_is_input_error(
         self, i2_model_file, tmp_path, capsys
     ):
@@ -678,6 +715,102 @@ class TestTopLevel:
 
     def test_missing_model_file(self, tmp_path, capsys):
         assert main(["check", "--model", str(tmp_path / "nope.tlm")]) == 2
+
+
+def _edit_g(path: Path, g: str) -> None:
+    text = path.read_text()
+    assert "g = 2.0 -0.5 -0.5 1.0\n" in text
+    path.write_text(text.replace("g = 2.0 -0.5 -0.5 1.0\n", f"g = {g}\n"))
+
+
+MODEL_COMMANDS = {
+    "solve": ["--family", "linear", "--target-rs", "24"],
+    "pareto": ["--steps", "3"],
+    "check": [],
+}
+
+
+class TestModelFileErrors:
+    """A model file that reads but does not make a model is named in the
+    error, as a structural error is."""
+
+    @pytest.mark.parametrize("command", ["solve", "pareto"])
+    def test_g_not_positive_definite_names_the_file(self, i2_model_file, capsys, command):
+        _edit_g(i2_model_file, "-2.0 -0.5 -0.5 1.0")
+        code = main([command, "--model", str(i2_model_file), *MODEL_COMMANDS[command]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {i2_model_file}: G must be positive definite\n"
+        # check reports the same G as a failed diagnostic, not an input error
+        assert main(["check", "--model", str(i2_model_file)]) == 4
+        assert "FAIL G-positive-definite" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+    def test_overflowing_satiation_price_names_the_file(
+        self, i2_model_file, capsys, command
+    ):
+        # a subnormal G is positive definite, but G^-1 omega_bar overflows
+        _edit_g(i2_model_file, "1e-310 0.0 0.0 1e-310")
+        code = main([command, "--model", str(i2_model_file), *MODEL_COMMANDS[command]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {i2_model_file}: the satiation price G^-1 omega_bar must be finite\n"
+        )
+        if command != "check":
+            assert captured.out == ""
+
+    @pytest.fixture
+    def no_baseline_file(self, tmp_path, i2_model):
+        path = tmp_path / "nobase.tlm"
+        tl.write_model_file(path, i2_model, provenance={"command": "test"})
+        assert "baseline." not in path.read_text()
+        return path
+
+    @pytest.mark.parametrize("command", ["solve", "pareto"])
+    @pytest.mark.parametrize("flags", [[], ["--flat-rate", "1.5"], ["--connection-charge", "0"]])
+    def test_missing_baseline_names_the_file(self, no_baseline_file, capsys, command, flags):
+        code = main([
+            command, "--model", str(no_baseline_file), *MODEL_COMMANDS[command], *flags,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {no_baseline_file}: model file carries no baseline tariff; "
+            "pass --flat-rate and --connection-charge\n"
+        )
+
+    @pytest.mark.parametrize("command", ["solve", "pareto"])
+    def test_missing_baseline_from_flags(
+        self, no_baseline_file, i2_model_file, capsys, command
+    ):
+        # both flags stand in for the file's baseline (rate 1.5, no charge)
+        flags = ["--flat-rate", "1.5", "--connection-charge", "0"]
+        outputs = []
+        for path in (no_baseline_file, i2_model_file):
+            args = [command, "--model", str(path), *MODEL_COMMANDS[command], *flags]
+            assert main(args) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+    def test_check_without_baseline_uses_its_reference_tariff(
+        self, no_baseline_file, i2_model_file, capsys
+    ):
+        # every check is baseline-invariant, so the internal reference tariff
+        # reports what the file's own baseline does
+        assert main(["check", "--model", str(no_baseline_file)]) == 0
+        without = capsys.readouterr()
+        assert main(["check", "--model", str(i2_model_file)]) == 0
+        assert without == capsys.readouterr()
+        lines = without.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS G-symmetric", "PASS G-positive-definite", "PASS assumption-1",
+            "PASS gradient-identity", "PASS hessian-identity", "PASS phi-settlement",
+            "PASS oracle-two-part", "PASS oracle-linear", "PASS planner-bound",
+            "all checks passed",
+        ]
 
 
 class TestBaselineOverrides:

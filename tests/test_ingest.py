@@ -1,6 +1,7 @@
 """CSV parsing, moment estimation, calibration, and model-file round trips."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,13 +127,35 @@ class TestParseCsv:
             tl.parse_csv(path, "load")
         assert exc_info.value.line == 3
 
+    def test_row_reader_reads_the_file_once(self, tmp_path, monkeypatch):
+        # a quoted field and a CR line end leave the file to the row reader,
+        # which parses the bytes parse_csv read and never opens the file again
+        path = tmp_path / "x.csv"
+        path.write_bytes(b'day,hour,value\r0,0,"1.5"\r0,1,2.0\r1,0,3.0\r1,1,4.0\r')
+        assert _parse_dense(path.read_bytes(), "load") is None
+
+        opened = []
+        path_open = Path.open
+
+        def open_once(self, *args, **kwargs):
+            if opened:
+                raise AssertionError(f"{self} opened a second time")
+            opened.append(self)
+            return path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_once)
+        series = tl.parse_csv(path, "load")
+        assert opened == [path]
+        assert series.values.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+        assert series.day_labels == (0, 1)
+
     def test_fast_path_takes_clean_files(self):
         from tarifflab.synthetic import bundled_dataset_paths
 
         for path, kind in zip(bundled_dataset_paths(), ("load", "price")):
             fast = _parse_dense(path.read_bytes(), kind)
             assert fast is not None
-            rows = _parse_rows(path, kind)
+            rows = _parse_rows(path.read_bytes(), kind)
             assert fast.values.tobytes() == rows.values.tobytes()
             assert fast.day_labels == rows.day_labels
 
@@ -241,7 +264,9 @@ def test_fast_path_agrees_with_row_reader(tmp_path_factory, case):
     kind, text = case
     path = tmp_path_factory.getbasetemp() / "mutated.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert _outcome(tl.parse_csv, path, kind) == _outcome(_parse_rows, path, kind)
+    assert _outcome(tl.parse_csv, path, kind) == _outcome(
+        lambda p, k: _parse_rows(p.read_bytes(), k), path, kind
+    )
 
 
 class TestEstimateMoments:

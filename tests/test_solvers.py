@@ -475,6 +475,51 @@ class TestClosedFormPath:
         tl.solve_flat_linear(generic_twin(i2_model), 24.0)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("solve", [
+        lambda m, F, A: tl.solve_linear(m, F),
+        lambda m, F, A: tl.solve_fixed_A_two_part(m, F, A),
+        lambda m, F, A: tl.solve_flat_linear(m, F),
+        lambda m, F, A: tl.solve_adjusted_flat(m, F, 1.5, A),
+    ], ids=["linear-optimal", "fixed-A-two-part", "flat-linear", "adjusted-flat"])
+    @pytest.mark.parametrize("name", ["i2_model", "i2cov_model", "bundled_model"])
+    def test_each_solve_evaluates_the_margin_three_times(
+        self, monkeypatch, request, solve, name
+    ):
+        # the margin at the line's base, at the peak of its family and at the
+        # solution: the line's root and peak come from one pass
+        model = request.getfixturevalue(name)
+        F, A = 24.0, 12.0
+        if name == "bundled_model":
+            grid = tl.default_revenue_grid(model)
+            F, A = float(grid[len(grid) // 2]), 0.52
+        calls = []
+        margin = solvers.phi_bar
+
+        def counting_margin(*args):
+            calls.append(args)
+            return margin(*args)
+
+        monkeypatch.setattr(solvers, "phi_bar", counting_margin)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", tl.PriceSignWarning)
+            solve(model, F, A)
+        assert len(calls) == 3
+
+    def test_generic_ramsey_solve_runs_one_two_part_fixed_point(
+        self, monkeypatch, i2cov_model
+    ):
+        # the monopoly price bounding the range starts from the solve's own pi*
+        calls = []
+        two_part = solvers._two_part_price
+
+        def counting_two_part(model):
+            calls.append(model)
+            return two_part(model)
+
+        monkeypatch.setattr(solvers, "_two_part_price", counting_two_part)
+        tl.solve_linear(generic_twin(i2cov_model), 24.0)
+        assert len(calls) == 1
+
 
 def i2_with_states(omega_bar) -> tl.LinearDemandModel:
     scenarios = tl.ScenarioSet(lams=[[1.0, 2.0]], omegas=[omega_bar])
@@ -498,7 +543,11 @@ class TestGenericFlatPath:
     def test_matches_closed_form_across_the_flat_range(self, omega_bar, gap, family):
         model = i2_with_states(omega_bar)
         twin = generic_twin(model)
-        peak = solvers._flat_monopoly_rate(model)
+        # the closed-form flat peak, where 1'omega_bar + 1'G lam_bar = 2 r 1'G1
+        g1 = model.G @ np.ones(2)
+        peak = (model.scenarios.omega_bar.sum() + g1 @ model.scenarios.lambda_bar) / (
+            2.0 * g1.sum()
+        )
         assert peak == pytest.approx(
             solvers._flat_monopoly_rate(twin), rel=1e-7, abs=1e-7
         )
