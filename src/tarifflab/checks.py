@@ -1,15 +1,16 @@
 """Named diagnostic checks behind the `check` command.
 
 Each check returns a CheckResult; the battery is also exercised directly by
-the test suite. Gradient/Hessian identities are verified by central finite
+the test suite. Gradient/Hessian identities are verified by finite
 differences: first derivatives use `model.central_difference` with
-h = 1e-5 * max(1, |pi_k|); second derivatives use the four-point stencil
-below with h = 1e-3 * max(1, |pi_k|) because the targets are exactly
-quadratic (no truncation error) and the larger step suppresses cancellation
-noise at utility scale. The checks give both a function of a (K, N) stack
-of price vectors, as `phi_bar` and `consumer_surplus_gain` are, so a
-gradient is one call on its 2N points and a Hessian one call per stencil
-row.
+h = 1e-5 * max(1, |pi_k|); second derivatives use the one-sided stencil of
+`fd_hessian` with steps 2h, h = 1e-3 * max(1, |pi_k|). The margin is exactly
+quadratic, so the stencil has no truncation error; it needs only the
+N(N+1)/2 + N + 1 points that determine a quadratic, and the large step
+suppresses cancellation noise at utility scale. The checks give both a
+function of a (K, N) stack of price vectors, as `phi_bar` and
+`consumer_surplus_gain` are, so a gradient is one call on its 2N points and
+a Hessian N calls of at most 2N + 1 points each.
 """
 
 from __future__ import annotations
@@ -58,35 +59,35 @@ class CheckResult:
 
 
 def fd_hessian(f, pi: np.ndarray) -> np.ndarray:
-    """Four-point finite-difference Hessian of f at pi, with steps
+    """One-sided finite-difference Hessian of f at pi, with steps 2 h_i,
     h_i = HESS_H_SCALE * max(1, |pi_i|).
 
-    f maps a (K, N) stack of price vectors to K values. Row i of the
-    stencil (pi +- h_i e_i, then pi +- h_i e_i +- h_j e_j for j > i) is
-    evaluated in one call, so f is called N + 1 times; rows are built one
-    at a time to keep the stencil's memory at O(N^2).
+    H_ii = (f(pi + 4h_i e_i) - 2 f(pi + 2h_i e_i) + f(pi)) / 4h_i^2 and
+    H_ij = (f(pi + 2h_i e_i + 2h_j e_j) - f(pi + 2h_i e_i) - f(pi + 2h_j e_j)
+    + f(pi)) / 4h_i h_j: N(N+1)/2 + N + 1 points, exact for a quadratic.
+    f maps a (K, N) stack of price vectors to K values. It is called first
+    on the 2N + 1 axis points, then once per row i < N - 1 on its corners
+    j > i: N calls in all, none on more than 2N + 1 rows, so memory stays
+    O(N^2).
     """
     pi = np.asarray(pi, dtype=float)
     n = pi.size
     hs = np.array([HESS_H_SCALE * max(1.0, abs(pi[t])) for t in range(n)])
+    axis = np.repeat(pi[np.newaxis], 2 * n + 1, axis=0)
+    axis[1 + np.arange(n), np.arange(n)] += 2.0 * hs
+    axis[1 + n + np.arange(n), np.arange(n)] += 4.0 * hs
+    values = f(axis)
+    f0, once, twice = values[0], values[1 : n + 1], values[n + 1 :]
     out = np.empty((n, n))
-    f0 = f(pi[np.newaxis])[0]
-    for i in range(n):
-        m = n - 1 - i
+    out[np.arange(n), np.arange(n)] = (twice - 2.0 * once + f0) / (4.0 * hs**2)
+    for i in range(n - 1):
         cols = np.arange(i + 1, n)
-        points = np.repeat(pi[np.newaxis], 2 + 4 * m, axis=0)
-        points[0, i] += hs[i]
-        points[1, i] -= hs[i]
-        # corners (+,+), (+,-), (-,+), (-,-) of each pair (i, j > i)
-        corners = points[2:].reshape(4, m, n)
-        corners[:2, :, i] += hs[i]
-        corners[2:, :, i] -= hs[i]
-        corners[0::2, np.arange(m), cols] += hs[cols]
-        corners[1::2, np.arange(m), cols] -= hs[cols]
-        values = f(points)
-        out[i, i] = (values[0] - 2.0 * f0 + values[1]) / hs[i] ** 2
-        pp, pm, mp, mm = values[2:].reshape(4, m)
-        out[i, cols] = out[cols, i] = (pp - pm - mp + mm) / (4.0 * hs[i] * hs[cols])
+        corners = np.repeat(axis[1 + i][np.newaxis], n - 1 - i, axis=0)
+        corners[np.arange(n - 1 - i), cols] += 2.0 * hs[cols]
+        pp = f(corners)
+        out[i, cols] = out[cols, i] = (pp - once[i] - once[cols] + f0) / (
+            4.0 * hs[i] * hs[cols]
+        )
     return out
 
 

@@ -165,10 +165,14 @@ class DemandModel:
     def demand_jacobian(self, pi: np.ndarray, scenario: int) -> np.ndarray:
         return central_difference(lambda p: self.demand(p, scenario), pi)
 
-    def mean_demand(self, pi: np.ndarray) -> np.ndarray:
-        return np.mean(
-            [self.demand(pi, j) for j in range(self.scenarios.n_scenarios)], axis=0
+    def scenario_demands(self, pi: np.ndarray) -> np.ndarray:
+        """(J, N) demand: row j is D(pi, Omega_j)."""
+        return np.array(
+            [self.demand(pi, j) for j in range(self.scenarios.n_scenarios)], dtype=float
         )
+
+    def mean_demand(self, pi: np.ndarray) -> np.ndarray:
+        return self.scenario_demands(pi).mean(axis=0)
 
     def mean_jacobian(self, pi: np.ndarray) -> np.ndarray:
         return np.mean(
@@ -244,6 +248,10 @@ class LinearDemandModel(DemandModel):
 
     def demand_jacobian(self, pi: np.ndarray, scenario: int) -> np.ndarray:
         return -self.G
+
+    def scenario_demands(self, pi: np.ndarray) -> np.ndarray:
+        # G pi once for all J rows; each row has the bits of `demand(pi, j)`
+        return self.scenarios.omegas - self.G @ np.asarray(pi, dtype=float)
 
     def mean_demand(self, pi: np.ndarray) -> np.ndarray:
         return self.scenarios.omega_bar - self.G @ np.asarray(pi, dtype=float)

@@ -79,21 +79,15 @@ def settle_scenarios(model: DemandModel, tariff: Tariff) -> SettlementLedger:
     """Settle a tariff scenario by scenario.
 
     For each scenario j: demand D_j(pi), retailer revenue M A + pi' D_j,
-    wholesale cost lam_j' D_j. The margin average reproduces
-    phi_bar(pi) + M A; this is the independent route against the analytic
-    moment formula.
+    wholesale cost lam_j' D_j. The (J, N) demand comes from one
+    `scenario_demands` call and each sum is a row-wise dot product. The
+    margin average reproduces phi_bar(pi) + M A; this is the independent
+    route against the analytic moment formula.
     """
     pi = _as_price_vector(model, tariff.prices)
-    ss = model.scenarios
-    fixed = model.customers * tariff.connection_charge
-    demand = np.empty((ss.n_scenarios, ss.periods))
-    revenue = np.empty(ss.n_scenarios)
-    cost = np.empty(ss.n_scenarios)
-    for j in range(ss.n_scenarios):
-        dj = model.demand(pi, j)
-        demand[j] = dj
-        revenue[j] = fixed + float(pi @ dj)
-        cost[j] = float(ss.lams[j] @ dj)
+    demand = model.scenario_demands(pi)
+    revenue = model.customers * tariff.connection_charge + np.vecdot(demand, pi)
+    cost = np.vecdot(demand, model.scenarios.lams)
     return SettlementLedger(demand=demand, revenue=revenue, wholesale_cost=cost)
 
 

@@ -675,6 +675,23 @@ class TestCheck:
         assert code == 0, out
         assert "PASS oracle-linear" in out
 
+    @pytest.mark.parametrize("alpha, code, status", [("0.995", 0, "PASS"), ("0.999", 4, "FAIL")])
+    def test_hessian_screen_on_strongly_coupled_bundled_models(
+        self, tmp_path, capsys, alpha, code, status
+    ):
+        # rounding in a stencil with step h would read 1.145e-5 at alpha 0.995,
+        # over the 1e-5 tolerance; at 0.999 the screen still cannot resolve -2G
+        from tarifflab.synthetic import bundled_dataset_paths
+
+        load, prices = bundled_dataset_paths()
+        model = tmp_path / f"a{alpha}.tlm"
+        assert main(["fit", "--load", str(load), "--prices", str(prices),
+                     "--alpha", alpha, "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--model", str(model)]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith(f"{status} hessian-identity:")]
+
 
 class TestWarnings:
     """A warning reaches the user as one `warning: <message>` line."""

@@ -9,7 +9,7 @@ import pytest
 
 import tarifflab as tl
 from tarifflab import checks
-from conftest import random_linear_model
+from conftest import generic_twin, random_linear_model
 from tarifflab.oracle import _grid_argmax_lagrangian
 
 
@@ -192,6 +192,54 @@ class TestSettleScenarios:
         assert ledger.mean_margin == pytest.approx(
             tl.phi_bar(i2cov_model, [2.0, 3.0]) + 2.0, rel=1e-12
         )
+
+    @staticmethod
+    def _loop_ledger(model, tariff):
+        """Reference: (demand, revenue, cost, margin) settled one scenario at a
+        time through `model.demand(pi, j)`."""
+        pi = tariff.prices
+        fixed = model.customers * tariff.connection_charge
+        rows = [model.demand(pi, j) for j in range(model.scenarios.n_scenarios)]
+        revenue = np.array([fixed + float(pi @ d) for d in rows])
+        cost = np.array([float(lam @ d) for lam, d in zip(model.scenarios.lams, rows)])
+        return np.array(rows), revenue, cost, revenue - cost
+
+    @staticmethod
+    def _columns(ledger):
+        return ledger.demand, ledger.revenue, ledger.wholesale_cost, ledger.margin
+
+    @pytest.mark.parametrize("periods, scenarios", [(1, 1), (3, 12), (24, 92), (96, 365)])
+    def test_linear_ledger_bit_equals_the_scenario_loop(self, periods, scenarios):
+        model = random_linear_model(periods, periods=periods, scenarios=scenarios)
+        rng = np.random.default_rng(periods)
+        for charge in (0.0, 2.5):
+            prices = model.scenarios.lambda_bar * (0.5 + rng.random(periods))
+            tariff = tl.Tariff(connection_charge=charge, prices=prices)
+            for got, want in zip(
+                self._columns(tl.settle_scenarios(model, tariff)),
+                self._loop_ledger(model, tariff),
+            ):
+                assert np.array_equal(got, want)
+
+    def test_generic_model_settles_through_its_demand_loop(self):
+        model = random_linear_model(5, periods=4, scenarios=9)
+        twin = generic_twin(model)
+        calls = []
+
+        def demand(pi, scenario):
+            calls.append(scenario)
+            return type(twin).demand(twin, pi, scenario)
+
+        twin.demand = demand
+        tariff = tl.Tariff(connection_charge=1.5, prices=model.scenarios.lambda_bar)
+        ledger = tl.settle_scenarios(twin, tariff)
+        assert calls == list(range(9))
+        for got, want in zip(self._columns(ledger), self._loop_ledger(twin, tariff)):
+            assert np.array_equal(got, want)
+        for got, want in zip(
+            self._columns(ledger), self._columns(tl.settle_scenarios(model, tariff))
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 # random N = 2 instances on which the banded grid search false-FAILed

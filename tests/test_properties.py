@@ -13,7 +13,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import tarifflab as tl
 from conftest import generic_twin, random_linear_model
+from tarifflab import checks
 from tarifflab.checks import fd_gradient, fd_hessian
+from tarifflab.ingest import ModelFilePayload
 from tarifflab.model import consumer_surplus_gain
 from tarifflab.pareto import FAMILIES
 
@@ -400,40 +402,29 @@ def test_stacked_margin_validates_like_one_dimensional(seed):
 
 
 def scalar_fd_hessian(f, pi, h_scale=1e-3):
-    """Reference: the four-point stencil evaluated one point per call."""
+    """Reference: the one-sided stencil, steps 2h, one point per call."""
     pi = np.asarray(pi, dtype=float)
     n = pi.size
     hs = np.array([h_scale * max(1.0, abs(pi[t])) for t in range(n)])
+
+    def at(*steps):
+        point = pi.copy()
+        for t, multiple in steps:
+            point[t] += multiple * hs[t]
+        return f(point)
+
     out = np.empty((n, n))
     f0 = f(pi)
     for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                up = pi.copy()
-                dn = pi.copy()
-                up[i] += hs[i]
-                dn[i] -= hs[i]
-                out[i, i] = (f(up) - 2.0 * f0 + f(dn)) / hs[i] ** 2
-            else:
-                pp = pi.copy()
-                pm = pi.copy()
-                mp = pi.copy()
-                mm = pi.copy()
-                pp[i] += hs[i]
-                pp[j] += hs[j]
-                pm[i] += hs[i]
-                pm[j] -= hs[j]
-                mp[i] -= hs[i]
-                mp[j] += hs[j]
-                mm[i] -= hs[i]
-                mm[j] -= hs[j]
-                out[i, j] = out[j, i] = (f(pp) - f(pm) - f(mp) + f(mm)) / (
-                    4.0 * hs[i] * hs[j]
-                )
+        out[i, i] = (at((i, 4.0)) - 2.0 * at((i, 2.0)) + f0) / (4.0 * hs[i] ** 2)
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = (
+                at((i, 2.0), (j, 2.0)) - at((i, 2.0)) - at((j, 2.0)) + f0
+            ) / (4.0 * hs[i] * hs[j])
     return out
 
 
-@pytest.mark.parametrize("periods", [3, 24, 96])
+@pytest.mark.parametrize("periods", [1, 3, 24, 96])
 def test_stacked_hessian_bit_equals_scalar_stencil(periods, bundled_model):
     if periods == 24:
         model = bundled_model
@@ -449,9 +440,54 @@ def test_stacked_hessian_bit_equals_scalar_stencil(periods, bundled_model):
 
     hess = fd_hessian(f, pi)
     assert np.array_equal(hess, scalar_fd_hessian(lambda p: tl.phi_bar(model, p), pi))
-    # one call for the centre, one per stencil row
-    assert len(calls) <= periods + 1
-    assert all(len(shape) == 2 for shape in calls)
+    # the 2N + 1 axis points, then the corners (i, j > i) of each row i < N - 1
+    assert calls == [(2 * periods + 1, periods)] + [
+        (periods - 1 - i, periods) for i in range(periods - 1)
+    ]
+
+
+class QuadraticTermFault(tl.LinearDemandModel):
+    """Linear demand whose margin's quadratic term uses (1 + 1e-4) G."""
+
+    def expected_margin(self, prices):
+        ss = self.scenarios
+        demand = ss.omega_bar - (1.0 + 1e-4) * (prices @ self.G)
+        return np.sum((prices - ss.lambda_bar) * demand, axis=-1) - ss.trace_sigma
+
+
+def test_hessian_screen_fails_a_seeded_quadratic_fault(bundled_model):
+    faulty = QuadraticTermFault(
+        G=bundled_model.G, scenarios=bundled_model.scenarios,
+        customers=bundled_model.customers,
+    )
+    assert checks.check_hessian_identity(bundled_model).status == "PASS"
+    assert checks.check_hessian_identity(faulty).status == "FAIL"
+
+
+def test_check_battery_hessian_rows_per_sample(bundled_model, monkeypatch):
+    # a quadratic in N variables is fixed by N(N+1)/2 + N + 1 values
+    n = bundled_model.periods
+    rows = []
+
+    def counted(f, pi):
+        seen = []
+
+        def g(p):
+            seen.append(len(p))
+            return f(p)
+
+        hess = fd_hessian(g, pi)
+        rows.append(sum(seen))
+        return hess
+
+    monkeypatch.setattr(checks, "fd_hessian", counted)
+    payload = ModelFilePayload(
+        periods=n, customers=bundled_model.customers, G=bundled_model.G,
+        lams=bundled_model.scenarios.lams, omegas=bundled_model.scenarios.omegas,
+    )
+    results = {r.name: r.status for r in checks.run_model_checks(payload)}
+    assert results["hessian-identity"] == "PASS"
+    assert rows == [n * (n + 1) // 2 + n + 1] * 3 == [325] * 3
 
 
 def loop_central_difference(f, pi, h_scale=1e-5):
