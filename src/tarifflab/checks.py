@@ -34,8 +34,8 @@ from .model import (
 )
 from .oracle import GridSpec, _grid_argmax_lagrangian, settle_scenarios
 from .solvers import (
+    _feasible_range,
     check_assumption1,
-    monopoly_price,
     planner_bound_gain,
     rs_tolerance,
     solve_linear,
@@ -95,7 +95,7 @@ def _sample_prices(model: LinearDemandModel, count: int, seed: int) -> np.ndarra
     """Seeded random price vectors between the cost level and the monopoly range."""
     rng = np.random.default_rng(seed)
     lam = model.scenarios.lambda_bar
-    pim = monopoly_price(model, verify=False)
+    pim = _feasible_range(model).monopoly[0]
     lo = 0.5 * lam
     hi = 1.2 * np.maximum(pim, lam + 1e-3)
     return lo + rng.random((count, model.periods)) * (hi - lo)
@@ -153,8 +153,8 @@ def check_phi_settlement(model: LinearDemandModel) -> CheckResult:
 
 
 def check_assumption1_result(model: LinearDemandModel) -> CheckResult:
-    lam = model.scenarios.lambda_bar
-    pim = monopoly_price(model, verify=False)
+    ends = _feasible_range(model)
+    lam, pim = ends.two_part[0], ends.monopoly[0]
     samples = [lam, 0.5 * (lam + pim), pim]
     report = check_assumption1(model, samples)
     eigs = ", ".join(f"{e:.3e}" for e in report.max_eigenvalues)
@@ -195,13 +195,13 @@ def check_oracles(
             CheckResult("oracle-two-part", "SKIP", detail),
             CheckResult("oracle-linear", "SKIP", detail),
         )
-    pim = monopoly_price(model, verify=False)
+    pim, phi_max = _feasible_range(model).monopoly
     hi = float(max(np.max(pim) * 1.25, 1.0))
     grid = GridSpec.cube(0.0, hi, steps=400, dims=model.periods)
     step = grid.max_step
 
     pistar = solve_two_part(model, 0.0).prices
-    target = 0.5 * (phi_bar(model, model.scenarios.lambda_bar) + phi_bar(model, pim))
+    target = 0.5 * (_feasible_range(model).two_part[1] + phi_max)
     solution = solve_linear(model, target)
     mu = solution.gamma - 1.0
     (free, _), (ramsey, _) = _grid_argmax_lagrangian(model, baseline, grid, (0.0, mu))

@@ -149,6 +149,8 @@ class DemandModel:
     Subclasses provide per-scenario demand; the default Jacobian is a central
     finite difference, which generic solver paths and the Assumption-1 checker
     consume. All expectations are equiprobable averages over the scenario set.
+    A model must not change after its first solve, which keeps its feasible
+    range on the instance.
     """
 
     scenarios: ScenarioSet

@@ -18,8 +18,7 @@ from .model import (
 )
 from .solvers import (
     RamseySolution,
-    monopoly_price,
-    phi_bar,
+    _feasible_range,
     solve_adjusted_flat,
     solve_fixed_A_ramsey,
     solve_flat_linear,
@@ -128,9 +127,8 @@ class FrontSlope:
 
 def default_revenue_grid(model: LinearDemandModel, steps: int = 41) -> np.ndarray:
     """Evenly spaced targets spanning the linear-tariff feasibility range."""
-    lo = phi_bar(model, model.scenarios.lambda_bar)
-    hi = phi_bar(model, monopoly_price(model, verify=False))
-    return np.linspace(lo, hi, steps)
+    ends = _feasible_range(model)
+    return np.linspace(ends.two_part[1], ends.monopoly[1], steps)
 
 
 def sweep(

@@ -4,19 +4,20 @@ Two-part tariffs price at a fixed point of the markup condition, with the
 connection charge absorbing the gap to the revenue target. Linear
 (volumetric-only) tariffs solve a Ramsey problem: the markup intensity whose
 prices collect the revenue target. Flat-rate variants solve the same problem
-on the diagonal.
+on the diagonal. Each model computes its ranges once (`_feasible_range`):
+pi*, pi_M, the flat base and peak, and their margins do not depend on F.
 
 The model's type picks the path. A `LinearDemandModel` (deterministic price
 response) takes closed forms: the two-part markup vanishes, and every other
 price lies on a line, the ray from the expected wholesale price to the
 satiation price or the flat diagonal, at the low root of one scalar
-quadratic (`_low_root`), reaching targets down to -1.7e308; the same pass
-gives the line's peak. Any other `DemandModel` iterates: a bisection of the
-markup intensity around a damped fixed point on the price vector, and for
-flat rates a ternary search for the peak, bracketed by walks out to both
-sides, then a walk left from the peak and a bisection for the root. The
-walks double their step with no cap. Every path ends with the same revenue
-band check, |rs - F| <= 1e-8 * max(1, |F|) (`rs_tolerance`).
+quadratic (`_low_root`), reaching targets down to -1.7e308. Any other
+`DemandModel` iterates: a bisection of the markup intensity around a damped
+fixed point on the price vector, and for flat rates a ternary search for the
+peak, bracketed by walks out to both sides, then, per target, a walk left
+from the peak and a bisection for the root. The walks double their step with
+no cap. Every path ends with the same revenue band check,
+|rs - F| <= 1e-8 * max(1, |F|) (`rs_tolerance`).
 
 The tolerances are fixed module constants, not options: they are not part
 of a tariff's definition.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -134,22 +136,21 @@ def _band_checked(model: DemandModel, pi: np.ndarray, target: float) -> float:
 
 def _low_root(
     model: LinearDemandModel, base: np.ndarray, v: np.ndarray, u: float
-) -> tuple[float, float]:
-    """Linear demand: (root, peak) on the line base + x v, whose margin is
+) -> float:
+    """Linear demand: the root on the line base + x v, whose margin is
     phi_bar(base) + g x - q x^2 (q = v'Gv, `base` at or below the peak
     x = g/2q). The root is the lowest x where the margin has risen by `u`, or
-    the peak if it never does. x = u / (g/2 + sqrt(q) sqrt(g^2/4q - u))
-    neither cancels nor overflows."""
+    the peak if it never does (u = inf gives the peak). x = u / (g/2 +
+    sqrt(q) sqrt(g^2/4q - u)) neither cancels nor overflows."""
     gv = model.G @ v
     q = float(gv @ v)
     if not q > 0.0:  # a zero-length v
-        return 0.0, 0.0
+        return 0.0
     lam_bar = model.scenarios.lambda_bar
     g = float(gv @ ((model.satiation_price() - base) + (lam_bar - base)))
     peak = g / (2.0 * q)
     rise = 0.5 * g * peak  # g^2 / 4q, the margin gained from base to the peak
-    x = peak if u >= rise else u / (0.5 * g + math.sqrt(q) * math.sqrt(rise - u))
-    return x, peak
+    return peak if u >= rise else u / (0.5 * g + math.sqrt(q) * math.sqrt(rise - u))
 
 
 def _bisect_target(
@@ -236,7 +237,7 @@ def _two_part_price(model: DemandModel) -> np.ndarray:
     """
     lam_bar = model.scenarios.lambda_bar
     if isinstance(model, LinearDemandModel):
-        return lam_bar.copy()
+        return lam_bar
 
     def step(pi: np.ndarray) -> np.ndarray:
         return pi - _solve_mean_jacobian(
@@ -263,6 +264,56 @@ def _markup_price(
     return _damped_fixed_point(step, start)
 
 
+class _FeasibleRange:
+    """A model's F-independent range ends, each computed on first use."""
+
+    def __init__(self, model: DemandModel):
+        self._model = model
+
+    @cached_property
+    def two_part(self) -> tuple[np.ndarray, float]:
+        """pi* (read-only) and its margin, the floor of the linear range."""
+        pi = _two_part_price(self._model)
+        pi.setflags(write=False)
+        return pi, phi_bar(self._model, pi)
+
+    @cached_property
+    def monopoly(self) -> tuple[np.ndarray, float]:
+        """pi_M (read-only) and its margin, the top of the linear range."""
+        model, pistar = self._model, self.two_part[0]
+        if isinstance(model, LinearDemandModel):
+            pim = 0.5 * (model.satiation_price() + pistar)
+        else:
+            pim = _markup_price(model, 1.0, pistar, pistar)
+        pim.setflags(write=False)
+        return pim, phi_bar(model, pim)
+
+    @cached_property
+    def flat(self) -> tuple[np.ndarray | None, float, float, float]:
+        """Flat base prices, their margin, the peak rate and its margin. The
+        linear base rate, the lowest of 0, 1'G lam_bar / 1'G1 (welfare-best)
+        and 1'omega_bar / 1'G1 (satiation), keeps a positive rate from
+        cancelling against it; a generic model has no base."""
+        model = self._model
+        if not isinstance(model, LinearDemandModel):
+            peak = _flat_monopoly_rate(model)
+            return None, math.nan, peak, _flat_phi(model, peak)
+        ones = np.ones(model.periods)
+        g1 = model.G @ ones
+        base = min(0.0, float(g1 @ model.scenarios.lambda_bar),
+                   float(ones @ model.scenarios.omega_bar)) / float(ones @ g1)
+        at_base = np.full(model.periods, base)
+        peak = base + _low_root(model, at_base, ones, math.inf)
+        return at_base, phi_bar(model, at_base), peak, _flat_phi(model, peak)
+
+
+def _feasible_range(model: DemandModel) -> _FeasibleRange:
+    """The model's one `_FeasibleRange`, kept on it from its first solve."""
+    if "_feasible_range" not in model.__dict__:
+        model.__dict__["_feasible_range"] = _FeasibleRange(model)
+    return model.__dict__["_feasible_range"]
+
+
 def solve_two_part(model: DemandModel, F: float) -> Tariff:
     """Optimal two-part tariff meeting the revenue target F ($/cycle).
 
@@ -273,30 +324,22 @@ def solve_two_part(model: DemandModel, F: float) -> Tariff:
     _require_finite(F)
     if model.customers < 1:
         raise ValueError("a two-part tariff needs at least one customer")
-    pi = _two_part_price(model)
-    charge = (F - phi_bar(model, pi)) / model.customers
+    pi, phi_star = _feasible_range(model).two_part
+    charge = (F - phi_star) / model.customers
     _warn_on_sign(model, pi, "two-part tariff")
     return Tariff(connection_charge=charge, prices=pi, family="two-part-optimal")
 
 
-def _monopoly_price(model: DemandModel, pistar: np.ndarray) -> np.ndarray:
-    """`monopoly_price`, unverified, from the two-part price `pistar`."""
-    if isinstance(model, LinearDemandModel):
-        return 0.5 * (model.satiation_price() + pistar)
-    return _markup_price(model, 1.0, pistar, pistar)
-
-
 def monopoly_price(model: DemandModel, *, verify: bool = True) -> np.ndarray:
-    """Price maximizing the expected volumetric margin (feasibility frontier).
+    """Read-only price maximizing the expected margin (feasibility frontier).
 
     Linear demand: the midpoint of the satiation price and the expected
     wholesale price. Generic demand: the markup fixed point at rho = 1. With
     `verify`, spot-checks that nearby prices do not collect a strictly
     larger margin.
     """
-    pim = _monopoly_price(model, _two_part_price(model))
+    pim, base = _feasible_range(model).monopoly
     if verify:
-        base = phi_bar(model, pim)
         scale = max(1.0, abs(base))
         # pim +- h_t e_t for every period t, in one stacked call
         steps = np.diag(1e-4 * np.maximum(1.0, np.abs(pim)))
@@ -316,9 +359,8 @@ def _ramsey_solve(model: DemandModel, F: float) -> tuple[float, np.ndarray, floa
     low-markup branch, on which the collected margin increases monotonically).
     """
     _require_finite(F)
-    pistar = _two_part_price(model)
-    phi_star = phi_bar(model, pistar)
-    phi_max = phi_bar(model, _monopoly_price(model, pistar))
+    ends = _feasible_range(model)
+    (pistar, phi_star), phi_max = ends.two_part, ends.monopoly[1]
     tol = rs_tolerance(F)
     if F < phi_star - tol:
         raise InvalidRegime(F, phi_star)
@@ -328,7 +370,7 @@ def _ramsey_solve(model: DemandModel, F: float) -> tuple[float, np.ndarray, floa
     if isinstance(model, LinearDemandModel):
         d = model.satiation_price() - pistar
         u = max(F - phi_star, 0.0)
-        s = 0.5 if F >= phi_max else _low_root(model, pistar, d, u)[0]
+        s = 0.5 if F >= phi_max else _low_root(model, pistar, d, u)
         pi = pistar + s * d
         return s, pi, _band_checked(model, pi, F)
 
@@ -404,29 +446,16 @@ def _flat_monopoly_rate(model: DemandModel) -> float:
 def _flat_low_root(model: DemandModel, target: float) -> float:
     """Lowest rate whose flat margin hits `target` (the low-markup root).
 
-    Linear demand takes the root and the peak from one `_low_root` along 1,
-    from a base at or below the peak: the lowest of the welfare-best rate
-    1'G lam_bar / 1'G1, the satiation rate 1'omega_bar / 1'G1 and 0, which
-    keeps a positive rate from cancelling against the base. Generic demand
-    walks left from the peak until the margin falls below the target, then
-    bisects on the increasing branch.
+    Linear demand takes it from one `_low_root` along 1 from the flat base.
+    Generic demand walks left from the peak until the margin falls below the
+    target, then bisects on the increasing branch.
     """
     _require_finite(target)
-    linear = isinstance(model, LinearDemandModel)
-    if linear:
-        ones = np.ones(model.periods)
-        g1 = model.G @ ones
-        base = min(0.0, float(g1 @ model.scenarios.lambda_bar),
-                   float(ones @ model.scenarios.omega_bar)) / float(ones @ g1)
-        at_base = np.full(model.periods, base)
-        x, peak = _low_root(model, at_base, ones, target - phi_bar(model, at_base))
-        rate, rate_m = base + x, base + peak
-    else:
-        rate_m = _flat_monopoly_rate(model)
-    phi_max = _flat_phi(model, rate_m)
+    base, phi_base, rate_m, phi_max = _feasible_range(model).flat
     if target > phi_max + rs_tolerance(target):
         raise InfeasibleTarget(target, (-math.inf, phi_max))
-    if linear:
+    if base is not None:
+        rate = base[0] + _low_root(model, base, np.ones(model.periods), target - phi_base)
         _band_checked(model, np.full(model.periods, rate), target)
         return rate
     lo = _flat_walk(model, rate_m, -1.0, target)
@@ -444,6 +473,26 @@ def solve_flat_linear(model: DemandModel, F: float) -> Tariff:
     return Tariff(connection_charge=0.0, prices=pi, family="flat-linear")
 
 
+def _at_residual(solve, model: DemandModel, F: float, A_fixed: float):
+    """`solve(model, F - M A_fixed)`, the margin a fixed-charge tariff's
+    prices must collect. Its range errors are restated for F, their bounds
+    moved by M A_fixed."""
+    _require_finite(F)
+    shift = model.customers * A_fixed
+    if not math.isfinite(F - shift):
+        raise ValueError(
+            f"revenue target {F!r} less the connection charge {A_fixed!r} times "
+            f"{model.customers} customers is not finite"
+        )
+    try:
+        return solve(model, F - shift)
+    except InvalidRegime as exc:
+        raise InvalidRegime(F, exc.regime_floor + shift) from None
+    except InfeasibleTarget as exc:
+        lo, hi = exc.feasible_range
+        raise InfeasibleTarget(F, (lo + shift, hi + shift)) from None
+
+
 def solve_fixed_A_two_part(model: DemandModel, F: float, A_fixed: float) -> Tariff:
     """Two-part tariff with a frozen connection charge."""
     return solve_fixed_A_ramsey(model, F, A_fixed)[0]
@@ -457,8 +506,7 @@ def solve_fixed_A_ramsey(
     The volumetric part must collect F - M * A_fixed on its own, so this is
     the optimal linear tariff at the residual target.
     """
-    residual = F - model.customers * A_fixed
-    solution = solve_linear(model, residual)
+    solution = _at_residual(solve_linear, model, F, A_fixed)
     tariff = Tariff(
         connection_charge=A_fixed, prices=solution.prices, family="fixed-A-two-part"
     )
@@ -475,8 +523,7 @@ def solve_adjusted_flat(
     does not move the rate. At F equal to the surplus of the flat tariff
     (A_fixed, base_rate), delta is 0.
     """
-    residual = F - model.customers * A_fixed
-    rate = _flat_low_root(model, residual)
+    rate = _at_residual(_flat_low_root, model, F, A_fixed)
     pi = np.full(model.periods, rate)
     _warn_on_sign(model, pi, "adjusted flat tariff")
     return Tariff(connection_charge=A_fixed, prices=pi, family="adjusted-flat")

@@ -320,6 +320,41 @@ class TestSolve:
             "revenue target -1000000000.0 is below the large-F regime floor 0.0\n"
         )
 
+    # the prices of a fixed-charge family collect F - M A, M A = 3 here; the
+    # error restates their range for the F the user gave
+    @pytest.mark.parametrize("family, target, err", [
+        ("fixed-A-two-part", "40",
+         "infeasible revenue target 40.0: feasible range is [3.0, 35.0]\n"),
+        ("fixed-A-two-part", "-1e9",
+         "revenue target -1000000000.0 is below the large-F regime floor 3.0\n"),
+        ("adjusted-flat", "40",
+         "infeasible revenue target 40.0: feasible range is [-inf, 29.53125]\n"),
+    ], ids=["fixed-A-infeasible", "fixed-A-below-floor", "adjusted-flat-infeasible"])
+    def test_fixed_charge_range_errors_name_the_target(
+        self, i2_model_file, capsys, family, target, err
+    ):
+        code = main([
+            "solve", "--model", str(i2_model_file), "--family", family,
+            f"--target-rs={target}", "--connection-charge", "3",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--family", "fixed-A-two-part", "--target-rs", "1e6"],
+        ["solve", "--family", "adjusted-flat", "--target-rs", "1e6"],
+        ["pareto", "--families", "fixed-A-two-part,adjusted-flat"],
+    ], ids=["fixed-A-two-part", "adjusted-flat", "pareto"])
+    def test_overflowing_connection_charge_is_named(
+        self, bundled_model_file, capsys, args
+    ):
+        capsys.readouterr()
+        code = main([*args, "--model", str(bundled_model_file),
+                     "--connection-charge", "1e306"])
+        assert code == 2
+        assert ("less the connection charge 1e+306 times 2200000 customers is not "
+                "finite\n") in capsys.readouterr().err
+
     def test_bad_target_exit_2(self, i2_model_file, capsys):
         code = main([
             "solve", "--model", str(i2_model_file), "--family", "linear",

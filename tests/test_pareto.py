@@ -1,5 +1,7 @@
 """Sweep assembly, front geometry, and slope diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,32 @@ class TestSweep:
     def test_adjusted_flat_needs_flat_baseline(self, i2_model, i2_baseline):
         with pytest.raises(ValueError, match="flat baseline"):
             tl.sweep(i2_model, i2_baseline, {"adjusted-flat"}, [1.0])
+
+    @pytest.mark.filterwarnings("ignore::tarifflab.errors.PriceSignWarning")
+    @pytest.mark.parametrize("name", ["i2_model", "i2cov_model", "bundled_model"])
+    def test_rows_bit_equal_solves_on_a_fresh_model(self, request, name):
+        # the sweep reads one range per model; each row must be what the
+        # family's solve gives on an instance that has computed nothing yet
+        model = request.getfixturevalue(name)
+        baseline = FLAT_BASELINE
+        if name == "bundled_model":
+            baseline = tl.baseline_tariff(model, tl.CalibrationConfig())
+        grid = tl.default_revenue_grid(model)
+        grid = np.append(grid, [grid[0] - 1.0, 1.5 * grid[-1] + 1.0])
+        for front in tl.sweep(model, baseline, tl.TARIFF_FAMILIES, grid):
+            for point in front.points:
+                fresh = dataclasses.replace(model)
+                try:
+                    tariff, _ = FAMILIES[front.family].solve(fresh, point.F, baseline)
+                except (tl.InfeasibleTarget, tl.InvalidRegime):
+                    assert not point.feasible
+                    continue
+                report = tl.welfare_gains(fresh, tariff, baseline)
+                assert np.array_equal(point.tariff.prices, tariff.prices)
+                assert point.tariff.connection_charge == tariff.connection_charge
+                assert (point.delta_cs, point.delta_rs, point.delta_sw) == (
+                    report.delta_cs, report.delta_rs, report.delta_sw
+                )
 
     def test_default_grid_spans_feasible_range(self, i2_model):
         grid = tl.default_revenue_grid(i2_model)

@@ -202,6 +202,15 @@ class TestMonopolyPrice:
         generic = tl.monopoly_price(generic_twin(i2_model))
         np.testing.assert_allclose(generic, [4.5, 7.0], atol=1e-8)
 
+    @pytest.mark.parametrize("twin", [False, True], ids=["linear", "generic"])
+    def test_read_only_so_the_range_cannot_be_corrupted(self, i2_model, twin):
+        model = generic_twin(i2_model) if twin else i2_model
+        pim = tl.monopoly_price(model)
+        with pytest.raises(ValueError, match="read-only"):
+            pim[0] = 0.0
+        assert tl.monopoly_price(model, verify=False) is pim
+        assert tl.solve_linear(model, 32.0).rho == pytest.approx(1.0, abs=1e-6)
+
     def test_nonconvergence_with_tiny_budget(self, monkeypatch):
         scenarios = tl.ScenarioSet(lams=[[2.0]], omegas=[[20.0]])
         model = CubicDemand(scenarios)
@@ -452,6 +461,16 @@ class TestSolverInvariants:
             tl.solve_adjusted_flat(i2_model, F, 1.5, 1.0)
 
 
+def count_margin_calls(monkeypatch) -> list:
+    """The arguments of every `phi_bar` call `solvers` makes from now on."""
+    calls = []
+    margin = solvers.phi_bar
+    monkeypatch.setattr(
+        solvers, "phi_bar", lambda *args: calls.append(args) or margin(*args)
+    )
+    return calls
+
+
 class TestClosedFormPath:
     @pytest.mark.filterwarnings("ignore::tarifflab.errors.PriceSignWarning")
     def test_linear_model_never_bisects(self, monkeypatch, bundled_model, i2_model):
@@ -475,35 +494,84 @@ class TestClosedFormPath:
         tl.solve_flat_linear(generic_twin(i2_model), 24.0)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("solve", [
-        lambda m, F, A: tl.solve_linear(m, F),
-        lambda m, F, A: tl.solve_fixed_A_two_part(m, F, A),
-        lambda m, F, A: tl.solve_flat_linear(m, F),
-        lambda m, F, A: tl.solve_adjusted_flat(m, F, 1.5, A),
-    ], ids=["linear-optimal", "fixed-A-two-part", "flat-linear", "adjusted-flat"])
+    @pytest.mark.parametrize("solve, counts", [
+        (lambda m, F, A: tl.solve_two_part(m, F), [1, 0]),
+        (lambda m, F, A: tl.solve_linear(m, F), [3, 1]),
+        (lambda m, F, A: tl.solve_fixed_A_two_part(m, F, A), [3, 1]),
+        (lambda m, F, A: tl.solve_flat_linear(m, F), [3, 1]),
+        (lambda m, F, A: tl.solve_adjusted_flat(m, F, 1.5, A), [3, 1]),
+    ], ids=["two-part-optimal", "linear-optimal", "fixed-A-two-part", "flat-linear",
+            "adjusted-flat"])
     @pytest.mark.parametrize("name", ["i2_model", "i2cov_model", "bundled_model"])
-    def test_each_solve_evaluates_the_margin_three_times(
-        self, monkeypatch, request, solve, name
+    def test_each_model_evaluates_its_range_once(
+        self, monkeypatch, request, solve, counts, name
     ):
-        # the margin at the line's base, at the peak of its family and at the
-        # solution: the line's root and peak come from one pass
-        model = request.getfixturevalue(name)
+        # a model's first solve evaluates the margin at the base and at the
+        # peak of its family's line; every solve then evaluates it once, at
+        # its solution, which two-part tariffs take from the range itself
+        shared = request.getfixturevalue(name)
         F, A = 24.0, 12.0
         if name == "bundled_model":
-            grid = tl.default_revenue_grid(model)
+            grid = tl.default_revenue_grid(shared)
             F, A = float(grid[len(grid) // 2]), 0.52
-        calls = []
-        margin = solvers.phi_bar
-
-        def counting_margin(*args):
-            calls.append(args)
-            return margin(*args)
-
-        monkeypatch.setattr(solvers, "phi_bar", counting_margin)
+        model = dataclasses.replace(shared)  # a fresh instance, no range yet
+        calls = count_margin_calls(monkeypatch)
+        seen = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", tl.PriceSignWarning)
-            solve(model, F, A)
-        assert len(calls) == 3
+            for target in (F, 0.9 * F):
+                solve(model, target, A)
+                seen.append(len(calls))
+                calls.clear()
+        assert seen == counts
+
+    def test_default_sweep_evaluates_each_range_once(self, monkeypatch, bundled_model):
+        model = dataclasses.replace(bundled_model)
+        baseline = tl.baseline_tariff(model, tl.CalibrationConfig())
+        calls = count_margin_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", tl.PriceSignWarning)
+            grid = tl.default_revenue_grid(model)
+            fronts = tl.sweep(model, baseline, tl.TARIFF_FAMILIES, grid)
+        # the margin at pi*, pi_M and the flat base and peak, then one band
+        # check per feasible point of the four closed-form root families
+        # (527 calls when every solve rebuilt its range)
+        checked = sum(
+            len(f.feasible_points) for f in fronts if f.family != "two-part-optimal"
+        )
+        assert len(calls) == 4 + checked <= 160
+
+    @pytest.mark.filterwarnings("ignore::tarifflab.errors.PriceSignWarning")
+    def test_generic_flat_peak_is_searched_once_per_model(self, monkeypatch, i2_model):
+        searches = []
+        search = solvers._flat_monopoly_rate
+
+        def counting_search(model):
+            searches.append(model)
+            return search(model)
+
+        monkeypatch.setattr(solvers, "_flat_monopoly_rate", counting_search)
+        twin = generic_twin(i2_model)
+        for F in (0.0, 10.0, 20.0):
+            tl.solve_flat_linear(twin, F)
+            tl.solve_adjusted_flat(twin, F + 1.0, 1.5, 1.0)
+        with pytest.raises(tl.InfeasibleTarget):
+            tl.solve_flat_linear(twin, 40.0)
+        assert len(searches) == 1
+
+    @pytest.mark.filterwarnings("ignore::tarifflab.errors.PriceSignWarning")
+    def test_repeated_generic_solves_match_fresh_twins(self, i2cov_model):
+        twin = generic_twin(i2cov_model)
+        for F in (4.0, 24.0, -1.0, 12.0, 24.0):
+            fresh = generic_twin(i2cov_model)
+            assert np.array_equal(
+                tl.solve_linear(twin, F).prices, tl.solve_linear(fresh, F).prices
+            )
+            fresh = generic_twin(i2cov_model)
+            assert np.array_equal(
+                tl.solve_flat_linear(twin, F).prices,
+                tl.solve_flat_linear(fresh, F).prices,
+            )
 
     def test_generic_ramsey_solve_runs_one_two_part_fixed_point(
         self, monkeypatch, i2cov_model
