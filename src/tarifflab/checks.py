@@ -10,7 +10,8 @@ N(N+1)/2 + N + 1 points that determine a quadratic, and the large step
 suppresses cancellation noise at utility scale. The checks give both a
 function of a (K, N) stack of price vectors, as `phi_bar` and
 `consumer_surplus_gain` are, so a gradient is one call on its 2N points and
-a Hessian N calls of at most 2N + 1 points each.
+a Hessian N calls of at most 2N + 1 points each. Errors fold with
+`np.maximum`, which keeps a NaN, and every tolerance test fails on NaN.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .model import (
     LinearDemandModel,
     Tariff,
     central_difference,
+    checked_baseline,
     consumer_surplus_gain,
     expected_demand,
+    g_screen,
     phi_bar,
     welfare_gains,
 )
@@ -111,7 +114,7 @@ def check_gradient_identity(model: LinearDemandModel, baseline: Tariff) -> Check
         )
         dbar = expected_demand(model, pi)
         scale = max(1.0, float(np.abs(dbar).max()))
-        worst = max(worst, float(np.abs(grad + dbar).max()) / scale)
+        worst = np.maximum(worst, float(np.abs(grad + dbar).max()) / scale)
     status = "PASS" if worst <= rel_tol else "FAIL"
     return CheckResult(
         "gradient-identity", status, f"max relative error {worst:.3e} (tol {rel_tol:g})"
@@ -126,7 +129,7 @@ def check_hessian_identity(model: LinearDemandModel) -> CheckResult:
     for pi in _sample_prices(model, 3, seed=1):
         hess = fd_hessian(lambda p: phi_bar(model, p), pi)
         scale = max(1.0, float(np.abs(model.G).max()))
-        worst = max(worst, float(np.abs(hess + 2.0 * model.G).max()) / scale)
+        worst = np.maximum(worst, float(np.abs(hess + 2.0 * model.G).max()) / scale)
         eig_ok = eig_ok and bool(np.linalg.eigvalsh(0.5 * (hess + hess.T))[-1] < 0)
     status = "PASS" if worst <= rel_tol and eig_ok else "FAIL"
     return CheckResult(
@@ -145,7 +148,7 @@ def check_phi_settlement(model: LinearDemandModel) -> CheckResult:
         tariff = Tariff(connection_charge=0.0, prices=pi, family="two-part-optimal")
         settled = settle_scenarios(model, tariff).mean_margin
         analytic = phi_bar(model, pi)
-        worst = max(worst, abs(settled - analytic) / max(1.0, abs(analytic)))
+        worst = np.maximum(worst, abs(settled - analytic) / max(1.0, abs(analytic)))
     status = "PASS" if worst <= rel_tol else "FAIL"
     return CheckResult(
         "phi-settlement", status, f"max relative gap {worst:.3e} (tol {rel_tol:g})"
@@ -243,28 +246,14 @@ def check_planner_bound(model: LinearDemandModel, baseline: Tariff) -> CheckResu
 
 def run_model_checks(payload: ModelFilePayload) -> list[CheckResult]:
     """Full battery on a model-file payload; structural G checks run first."""
-    results = []
-    G = payload.G
-    scale = max(1.0, float(np.abs(G).max()))
-    sym_gap = float(np.abs(G - G.T).max())
-    sym_ok = sym_gap <= 1e-12 * scale
-    results.append(
-        CheckResult(
-            "G-symmetric", "PASS" if sym_ok else "FAIL", f"max asymmetry {sym_gap:.3e}"
-        )
-    )
-    pd_ok = False
-    if sym_ok:
-        try:
-            np.linalg.cholesky(G)
-            pd_ok = True
-        except np.linalg.LinAlgError:
-            pd_ok = False
-    detail = "Cholesky succeeded" if pd_ok else "Cholesky failed"
-    results.append(
-        CheckResult("G-positive-definite", "PASS" if pd_ok else "FAIL", detail)
-    )
-    if not (sym_ok and pd_ok):
+    asymmetry, symmetric, definite = g_screen(payload.G)
+    results = [
+        CheckResult("G-symmetric", "PASS" if symmetric else "FAIL",
+                    f"max asymmetry {asymmetry:.3e}"),
+        CheckResult("G-positive-definite", "PASS" if definite else "FAIL",
+                    "Cholesky succeeded" if definite else "Cholesky failed"),
+    ]
+    if not definite:
         return results
 
     model = payload.to_model()
@@ -276,6 +265,8 @@ def run_model_checks(payload: ModelFilePayload) -> list[CheckResult]:
             prices=1.25 * model.scenarios.lambda_bar + 0.01,
             family="two-part-optimal",
         )
+    else:
+        checked_baseline(model, baseline)
 
     results.append(check_assumption1_result(model))
     results.append(check_gradient_identity(model, baseline))

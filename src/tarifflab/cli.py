@@ -25,6 +25,7 @@ from .errors import InfeasibleTarget, InvalidRegime, NegativePrice, TariffLabErr
 from .ingest import (
     CalibrationConfig,
     RawSeries,
+    baseline_tariff,
     calibrate_demand,
     estimate_moments,
     file_digest,
@@ -38,6 +39,7 @@ from .model import (
     LinearDemandModel,
     Tariff,
     WelfareReport,
+    checked_baseline,
     flat_rate_elasticity,
     retailer_surplus,
     welfare_gains,
@@ -105,7 +107,7 @@ def _load_model(args) -> tuple[LinearDemandModel, Tariff]:
             f"{args.model}: model file carries no baseline tariff; pass "
             "--flat-rate and --connection-charge"
         )
-    return model, baseline
+    return model, checked_baseline(model, baseline)
 
 
 def _baseline_flags(baseline: Tariff) -> dict:
@@ -118,10 +120,7 @@ def _baseline_flags(baseline: Tariff) -> dict:
 
 def _resolve_target(raw: str, model: LinearDemandModel, baseline: Tariff) -> float:
     if raw == "baseline":
-        target = retailer_surplus(model, baseline)
-        if not math.isfinite(target):
-            raise ValueError(f"the baseline tariff's revenue {target!r} is not finite")
-        return target
+        return retailer_surplus(model, baseline)
     try:
         return float(raw)
     except ValueError:
@@ -188,6 +187,7 @@ def cmd_fit(args) -> int:
         connection_charge=args.connection_charge,
     )
     model = calibrate_demand(scenarios, config)
+    checked_baseline(model, baseline_tariff(model, config))
     provenance = fit_provenance(args.load, args.prices, config, created=_now())
     write_model_file(args.out, model, baseline=config, provenance=provenance)
 
@@ -420,20 +420,8 @@ def main(argv=None) -> int:
     default_format, warnings.formatwarning = warnings.formatwarning, plain_warning
     try:
         return args.func(args)
-    except InfeasibleTarget as exc:
-        lo, hi = exc.feasible_range
-        print(
-            f"infeasible revenue target {exc.target!r}: feasible range is "
-            f"[{lo!r}, {hi!r}]",
-            file=sys.stderr,
-        )
-        return 3
-    except InvalidRegime as exc:
-        print(
-            f"revenue target {exc.target!r} is below the large-F regime floor "
-            f"{exc.regime_floor!r}",
-            file=sys.stderr,
-        )
+    except (InfeasibleTarget, InvalidRegime) as exc:
+        print(exc, file=sys.stderr)
         return 3
     except (TariffLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

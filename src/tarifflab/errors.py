@@ -29,7 +29,7 @@ class InfeasibleTarget(TariffLabError):
         self.feasible_range = feasible_range
         lo, hi = feasible_range
         super().__init__(
-            f"revenue target {target!r} outside feasible range [{lo!r}, {hi!r}]"
+            f"infeasible revenue target {target!r}: feasible range is [{lo!r}, {hi!r}]"
         )
 
 
@@ -40,7 +40,8 @@ class InvalidRegime(TariffLabError):
         self.target = target
         self.regime_floor = regime_floor
         super().__init__(
-            f"revenue target {target!r} below the large-F regime floor {regime_floor!r}"
+            f"revenue target {target!r} is below the large-F regime floor "
+            f"{regime_floor!r}"
         )
 
 

@@ -48,6 +48,17 @@ def central_difference(f, pi, *, stacked: bool = False) -> np.ndarray:
     return np.moveaxis((values[:n] - values[n:]) / steps, 0, -1)
 
 
+def g_screen(G: np.ndarray) -> tuple[float, bool, bool]:
+    """What makes a square G valid: (largest asymmetry, symmetric within 1e-12
+    of max(1, max|G|), positive definite by a Cholesky tried if symmetric)."""
+    asymmetry = float(np.abs(G - G.T).max())
+    symmetric = asymmetry <= _SYMMETRY_TOL * max(1.0, float(np.abs(G).max()))
+    try:
+        return asymmetry, symmetric, symmetric and np.linalg.cholesky(G) is not None
+    except np.linalg.LinAlgError:
+        return asymmetry, symmetric, False
+
+
 def scenario_moments(lams, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Population moments of equiprobable (J, N) scenarios.
 
@@ -230,13 +241,11 @@ class LinearDemandModel(DemandModel):
                 f"G is {G.shape[0]}x{G.shape[0]} but scenarios have "
                 f"{self.scenarios.periods} periods"
             )
-        scale = max(1.0, float(np.abs(G).max()))
-        if float(np.abs(G - G.T).max()) > _SYMMETRY_TOL * scale:
+        _, symmetric, definite = g_screen(G)
+        if not symmetric:
             raise ValueError("G must be symmetric (within 1e-12)")
-        try:
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            raise ValueError("G must be positive definite") from None
+        if not definite:
+            raise ValueError("G must be positive definite")
         if self.customers < 0:
             raise ValueError("customer count must be nonnegative")
         object.__setattr__(self, "G", G)
@@ -342,7 +351,8 @@ class WelfareReport:
 
     def __post_init__(self):
         scale = max(1.0, abs(self.delta_cs), abs(self.delta_rs))
-        if abs(self.delta_sw - (self.delta_cs + self.delta_rs)) > 1e-9 * scale:
+        # `not <=`, so that a NaN gain fails too
+        if not abs(self.delta_sw - (self.delta_cs + self.delta_rs)) <= 1e-9 * scale:
             raise ValueError("delta_sw must equal delta_cs + delta_rs")
 
 
@@ -386,6 +396,22 @@ def phi_bar(model: DemandModel, pi) -> float | np.ndarray:
 def retailer_surplus(model: DemandModel, tariff: Tariff) -> float:
     """Expected retailer surplus phi_bar(pi) + M A, $/cycle."""
     return phi_bar(model, tariff.prices) + model.customers * tariff.connection_charge
+
+
+def checked_baseline(model: LinearDemandModel, baseline: Tariff) -> Tariff:
+    """The flat `baseline` tariff, if its revenue phi_bar(pi) + M A and its
+    consumer-surplus term, the terms every welfare gain subtracts, are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned
+        revenue = retailer_surplus(model, baseline)
+        cs = float(_cs_term(model, baseline.prices, baseline.connection_charge))
+    for name, value in (("revenue", revenue), ("consumer-surplus term", cs)):
+        if not np.isfinite(value):
+            raise ValueError(
+                f"the baseline tariff's {name} {value!r} is not finite (flat rate "
+                f"{float(baseline.prices[0])!r}, connection charge "
+                f"{baseline.connection_charge!r}, {model.customers} customers)"
+            )
+    return baseline
 
 
 def _cs_term(

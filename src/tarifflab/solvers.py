@@ -122,10 +122,9 @@ def _require_finite(target: float) -> None:
         raise ValueError(f"revenue target must be finite, got {target!r}")
 
 
-def _band_checked(model: DemandModel, pi: np.ndarray, target: float) -> float:
-    """Margin of the closed-form `pi`, or NonConvergence if it misses the
-    rs band around `target`."""
-    achieved = phi_bar(model, pi)
+def _band_checked(achieved: float, target: float) -> float:
+    """`achieved`, the margin of a closed-form price, or NonConvergence if it
+    misses the rs band around `target`."""
     if abs(achieved - target) > rs_tolerance(target):
         raise NonConvergence(
             f"closed form missed the revenue band at rs {achieved!r} "
@@ -372,7 +371,8 @@ def _ramsey_solve(model: DemandModel, F: float) -> tuple[float, np.ndarray, floa
         u = max(F - phi_star, 0.0)
         s = 0.5 if F >= phi_max else _low_root(model, pistar, d, u)
         pi = pistar + s * d
-        return s, pi, _band_checked(model, pi, F)
+        # at s = 0, pi is pi* bit for bit, and the range holds its margin
+        return s, pi, _band_checked(phi_star if s == 0.0 else phi_bar(model, pi), F)
 
     def price_at(s: float, start: np.ndarray) -> np.ndarray:
         rho = s / (1.0 - s) if s < 0.5 else 1.0
@@ -456,7 +456,7 @@ def _flat_low_root(model: DemandModel, target: float) -> float:
         raise InfeasibleTarget(target, (-math.inf, phi_max))
     if base is not None:
         rate = base[0] + _low_root(model, base, np.ones(model.periods), target - phi_base)
-        _band_checked(model, np.full(model.periods, rate), target)
+        _band_checked(_flat_phi(model, rate), target)
         return rate
     lo = _flat_walk(model, rate_m, -1.0, target)
     return _bisect_target(

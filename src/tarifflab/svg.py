@@ -35,25 +35,31 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 
 def _marker_points(front: ParetoFront) -> list[tuple[float, float, bool]]:
-    """(x, y, feasible) for every sweep point, infeasible ones at target height."""
-    feas = front.feasible_points
-    out = []
-    for p in front.points:
-        if p.feasible:
+    """(x, y, feasible) for every sweep point. An infeasible point sits at its
+    target height, at the x of the feasible point nearest in F: the lower F
+    on a tie, the first of equal Fs, x = 0 with none. The points are sorted
+    by F, so one pass meets each run of infeasible points together with the
+    feasible points on either side of it."""
+    out, run, below = [], [], None
+    for p in (*front.points, None):  # None closes the last run
+        if p is not None and not p.feasible:
+            run.append(p)
+            continue
+        for q in run:
+            near = [a for a in (below, p) if a is not None]
+            x = min(near, key=lambda a: abs(a.F - q.F)).delta_cs if near else 0.0
+            out.append((x, q.F - front.baseline_rs, False))
+        run = []
+        if p is not None:
             out.append((p.delta_cs, p.delta_rs, True))
-        else:
-            # nearest feasible point by F anchors the x position
-            if feas:
-                anchor = min(feas, key=lambda q: abs(q.F - p.F))
-                x = anchor.delta_cs
-            else:
-                x = 0.0
-            out.append((x, p.F - front.baseline_rs, False))
+            if below is None or p.F != below.F:
+                below = p
     return out
 
 
 def render_fronts(fronts: list[ParetoFront]) -> str:
-    pts = [xy for f in fronts for xy in _marker_points(f)]
+    markers = [_marker_points(f) for f in fronts]
+    pts = [xy for m in markers for xy in m]
     if not pts:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     else:
@@ -122,18 +128,17 @@ def render_fronts(fronts: list[ParetoFront]) -> str:
     )
 
     legend_y = MARGIN_T + 10
-    for front in fronts:
+    for front, marks in zip(fronts, markers):
         family = FAMILIES.get(front.family)
         color = family.color if family else "#555555"
-        markers = _marker_points(front)
-        feas_xy = [(x, y) for x, y, ok in markers if ok]
+        feas_xy = [(x, y) for x, y, ok in marks if ok]
         if len(feas_xy) >= 2:
             path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in feas_xy)
             parts.append(
                 f'<polyline points="{path}" fill="none" stroke="{color}" '
                 f'stroke-width="1.6"/>'
             )
-        for x, y, ok in markers:
+        for x, y, ok in marks:
             if ok:
                 parts.append(
                     f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="{color}"/>'

@@ -351,9 +351,10 @@ class TestSolve:
         capsys.readouterr()
         code = main([*args, "--model", str(bundled_model_file),
                      "--connection-charge", "1e306"])
+        # M A overflows, so the baseline itself is refused before any solve
         assert code == 2
-        assert ("less the connection charge 1e+306 times 2200000 customers is not "
-                "finite\n") in capsys.readouterr().err
+        assert ("the baseline tariff's revenue inf is not finite (flat rate 0.172, "
+                "connection charge 1e+306, 2200000 customers)\n") in capsys.readouterr().err
 
     def test_bad_target_exit_2(self, i2_model_file, capsys):
         code = main([
@@ -914,6 +915,69 @@ class TestBaselineOverrides:
             manifest.pop("created")
             manifests.append(manifest)
         assert manifests[0] != manifests[1]
+
+
+class TestBaselineRefusal:
+    """Every gain subtracts the baseline's revenue and consumer-surplus term,
+    so a baseline whose terms are not finite is an input error on every
+    path: fit, the overrides of solve and pareto, and the file's own
+    baseline in solve and check."""
+
+    MESSAGE = ("the baseline tariff's revenue {} is not finite (flat rate {}, "
+               "connection charge {}, 2200000 customers)\n")
+
+    @pytest.fixture
+    def overflowing_file(self, tmp_path, bundled_model_file):
+        lines = [
+            "baseline.connection_charge = 1e308"
+            if line.startswith("baseline.connection_charge =") else line
+            for line in bundled_model_file.read_text().splitlines()
+        ]
+        path = tmp_path / "overflowing.tlm"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("args, revenue, rate, charge", [
+        (["solve", "--family", "linear", "--target-rs", "1e6", "--flat-rate", "1e200"],
+         "-inf", "1e+200", "0.52"),
+        (["pareto", "--families", "two-part", "--steps", "2",
+          "--connection-charge", "-1e308"], "-inf", "0.172", "-1e+308"),
+    ], ids=["solve-flat-rate", "pareto-connection-charge"])
+    def test_overridden_baseline_is_refused(
+        self, bundled_model_file, capsys, args, revenue, rate, charge
+    ):
+        capsys.readouterr()
+        code = main([*args, "--model", str(bundled_model_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: " + self.MESSAGE.format(revenue, rate, charge)
+        )
+
+    def test_fit_writes_no_file(self, tmp_path, capsys):
+        from tarifflab.synthetic import bundled_dataset_paths
+
+        load, prices = bundled_dataset_paths()
+        out = tmp_path / "m.tlm"
+        code = main(["fit", "--load", str(load), "--prices", str(prices),
+                     "--connection-charge", "1e308", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: " + self.MESSAGE.format("inf", "0.172", "1e+308")
+        )
+        assert not out.exists()
+
+    def test_file_baseline_is_refused_by_solve_and_check(self, overflowing_file, capsys):
+        capsys.readouterr()
+        message = self.MESSAGE.format("inf", "0.172", "1e+308")
+        assert main(["solve", "--model", str(overflowing_file), "--family", "two-part",
+                     "--target-rs", "1e6"]) == 2
+        assert capsys.readouterr().err == "error: " + message
+        assert main(["check", "--model", str(overflowing_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {overflowing_file}: " + message
 
 
 class TestCustomerCount:

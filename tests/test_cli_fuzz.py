@@ -10,7 +10,9 @@ target, 4 failed diagnostics) or argparse's own exit (0 for --help and
 import argparse
 import contextlib
 import io
+import math
 import os
+import re
 import shutil
 import tempfile
 import warnings
@@ -131,8 +133,9 @@ def inputs(tmp_path_factory) -> Path:
     return folder
 
 
-def _run_in(folder: Path, argv: list[str]) -> tuple[int, str]:
-    """main(argv) with `folder` as working directory: (exit code, stderr)."""
+def _run_in(folder: Path, argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) with `folder` as working directory: (exit code, stdout,
+    stderr)."""
     out, err = io.StringIO(), io.StringIO()
     start = os.getcwd()
     os.chdir(folder)
@@ -148,7 +151,30 @@ def _run_in(folder: Path, argv: list[str]) -> tuple[int, str]:
                     code = exc.code
     finally:
         os.chdir(start)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+GAIN_LINE = re.compile(r"^  (delta_cs|delta_rs|delta_sw|rs_absolute): (\S+) \$/cycle$")
+
+
+def _non_finite_gains(folder: Path, stdout: str) -> list[str]:
+    """Lines of an exit-0 run that report a non-finite gain: `solve`'s four
+    welfare lines (`gamma: inf` at the top of the front is legal), and the
+    gains of every `true` row of a `pareto` table, on stdout or in its file."""
+    bad = [line for line in stdout.splitlines()
+           if (m := GAIN_LINE.match(line)) and not math.isfinite(float(m[2]))]
+    tables = [stdout] + [
+        (folder / line.removeprefix("front table written to ")).read_text()
+        for line in stdout.splitlines() if line.startswith("front table written to ")
+    ]
+    for table in tables:
+        for row in table.splitlines():
+            cells = row.split(",")
+            if len(cells) > 5 and cells[5] == "true" and not all(
+                math.isfinite(float(x)) for x in cells[2:5]
+            ):
+                bad.append(row)
+    return bad
 
 
 @settings(max_examples=150, deadline=None,
@@ -159,7 +185,9 @@ def test_any_argv_ends_with_a_documented_exit(inputs, argv):
         # fresh copies: a run may overwrite any file it is given
         for name in ("model.tlm", "load.csv", "prices.csv"):
             shutil.copy(inputs / name, Path(work) / name)
-        code, err = _run_in(Path(work), argv)
+        code, out, err = _run_in(Path(work), argv)
+        # exit 0 means a meaningful answer: every reported gain is finite
+        assert code != 0 or not _non_finite_gains(Path(work), out), argv
     assert code in (0, 2, 3, 4), (argv, code)
     assert "Traceback" not in err
 
@@ -174,6 +202,10 @@ def test_any_argv_ends_with_a_documented_exit(inputs, argv):
         (["pareto", "--model", "model.tlm", "--steps", str(MAX_STEPS + 1)], 2),
         (["solve", "--model", "model.tlm", "--family", "linear", "--target-rs", "1e308"], 3),
         (["check", "--model", "model.tlm"], 0),
+        (["solve", "--model", "model.tlm", "--family", "linear", "--target-rs", "1e6",
+          "--flat-rate", "1e200"], 2),
+        (["pareto", "--model", "model.tlm", "--families", "two-part", "--steps", "2",
+          "--connection-charge", "-1e308"], 2),
         (["fit", "--load", "load.csv", "--prices", "prices.csv", "--out", "."], 2),
     ],
 )
@@ -181,3 +213,16 @@ def test_vocabulary_reaches_each_exit(inputs, tmp_path, argv, code):
     for name in ("model.tlm", "load.csv", "prices.csv"):
         shutil.copy(inputs / name, tmp_path / name)
     assert _run_in(tmp_path, argv)[0] == code
+
+
+def test_guard_flags_non_finite_gains(tmp_path):
+    (tmp_path / "f.csv").write_text(
+        "family,F,delta_cs,delta_rs,delta_sw,feasible,pi_0\n"
+        "two-part-optimal,1.0,-inf,inf,nan,true,0.1\n"
+        "two-part-optimal,2.0,nan,nan,nan,false,nan\n"
+    )
+    stdout = ("gamma: inf\n  delta_cs: -inf $/cycle\n  delta_sw: 0 $/cycle\n"
+              "front table written to f.csv\n")
+    assert _non_finite_gains(tmp_path, stdout) == [
+        "  delta_cs: -inf $/cycle", "two-part-optimal,1.0,-inf,inf,nan,true,0.1",
+    ]

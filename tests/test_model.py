@@ -1,9 +1,13 @@
 """Core-model examples and invariants: demand, margin, gains, elasticities."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import tarifflab as tl
+from tarifflab.model import checked_baseline
 from conftest import G_I2
 
 
@@ -270,3 +274,25 @@ class TestWelfareReportInvariant:
             tl.WelfareReport(
                 delta_cs=1.0, delta_rs=1.0, delta_sw=3.0, rs_absolute=0.0,
             )
+
+    def test_nan_gain_rejected(self):
+        with pytest.raises(ValueError, match="delta_sw"):
+            tl.WelfareReport(np.nan, 0.0, np.nan, 0.0)
+
+
+class TestCheckedBaseline:
+    def test_finite_baseline_is_returned(self, i2_model, i2_baseline):
+        assert checked_baseline(i2_model, i2_baseline) is i2_baseline
+
+    @pytest.mark.parametrize("charge, rate, term", [
+        (1e308, 1.5, "revenue inf"),
+        (0.0, 1e200, "revenue -inf"),
+    ])
+    def test_non_finite_terms_are_refused(self, i2_model, charge, rate, term):
+        model = dataclasses.replace(i2_model, customers=10)
+        baseline = tl.Tariff(connection_charge=charge, prices=[rate, rate],
+                             family="adjusted-flat")
+        message = (f"the baseline tariff's {term} is not finite (flat rate {rate!r}, "
+                   f"connection charge {charge!r}, 10 customers)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            checked_baseline(model, baseline)

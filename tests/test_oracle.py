@@ -332,3 +332,26 @@ class TestCheckOracles:
         two_part, linear = checks.check_oracles(model, base)
         assert two_part.status == "FAIL"
         assert linear.status == "PASS"
+
+
+class TestScreensFailOnNan:
+    def test_gradient_identity_fails_on_an_overflowing_baseline(self, bundled_model):
+        # M A overflows, so every finite-difference gradient of the gain is
+        # NaN; a fold by `max` kept the first finite error and read PASS 0
+        baseline = tl.Tariff(connection_charge=1e308, prices=np.full(24, 0.172),
+                             family="adjusted-flat")
+        with np.errstate(invalid="ignore"):
+            result = checks.check_gradient_identity(bundled_model, baseline)
+        assert result.status == "FAIL"
+        assert result.detail == "max relative error nan (tol 1e-06)"
+
+    @pytest.mark.parametrize("name, detail", [
+        ("check_hessian_identity", "max relative error nan"),
+        ("check_phi_settlement", "max relative gap nan"),
+    ])
+    def test_a_nan_error_fails(self, i2_model, monkeypatch, name, detail):
+        monkeypatch.setattr(checks, "phi_bar", lambda model, pi: np.full(
+            np.shape(pi)[:-1], np.nan)[()])
+        result = getattr(checks, name)(i2_model)
+        assert result.status == "FAIL"
+        assert result.detail.startswith(detail)

@@ -200,3 +200,42 @@ class TestFrontGeometry:
         for tp, ln in zip(two_part[1:], linear[1:]):
             assert ln.delta_sw < tp.delta_sw - 1e-6
             assert ln.delta_cs < tp.delta_cs - 1e-6
+
+
+def _scanned_marker_points(front):
+    """The marker placement `svg._marker_points` replaced: a scan of every
+    feasible point for each infeasible one, `min` keeping the first nearest."""
+    feas = front.feasible_points
+    out = []
+    for p in front.points:
+        if p.feasible:
+            out.append((p.delta_cs, p.delta_rs, True))
+        else:
+            if feas:
+                x = min(feas, key=lambda q: abs(q.F - p.F)).delta_cs
+            else:
+                x = 0.0
+            out.append((x, p.F - front.baseline_rs, False))
+    return out
+
+
+class TestSvgMarkers:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_pass_matches_the_scan(self, seed):
+        from tarifflab.pareto import ParetoFront, ParetoPoint
+        from tarifflab.svg import _marker_points
+
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(0, 30))
+        # small integer targets, so distances are exact: repeated F and
+        # equal-distance ties on both sides of an infeasible point are common
+        fs = np.sort(rng.integers(-6, 7, size)).astype(float)
+        share = (0.0, 0.2, 0.5, 0.9)[seed % 4]  # share 0: no feasible point
+        points = tuple(
+            ParetoPoint(F=F, delta_cs=float(rng.normal()), delta_rs=float(rng.normal()),
+                        delta_sw=np.nan, tariff=None, feasible=bool(rng.random() < share))
+            for F in fs
+        )
+        front = ParetoFront(family="two-part-optimal", points=points,
+                            baseline=FLAT_BASELINE, baseline_rs=0.25)
+        assert _marker_points(front) == _scanned_marker_points(front)
