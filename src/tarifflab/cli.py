@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import run_model_checks
 from .errors import InfeasibleTarget, InvalidRegime, NegativePrice, TariffLabError
 from .ingest import (
     CalibrationConfig,
@@ -28,7 +27,6 @@ from .ingest import (
     baseline_tariff,
     calibrate_demand,
     estimate_moments,
-    file_digest,
     fit_provenance,
     parse_csv,
     read_model_file,
@@ -45,7 +43,6 @@ from .model import (
     welfare_gains,
 )
 from .pareto import FAMILIES, ParetoFront, ParetoPoint, default_revenue_grid, sweep
-from .svg import render_fronts
 
 # options whose value may be a negative number such as -2.5e4 or -inf
 _NUMERIC_OPTIONS = (
@@ -67,11 +64,11 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(out_path, command: str, inputs: dict, flags: dict) -> None:
+def _write_manifest(out_path, command: str, model_digest: str, flags: dict) -> None:
     manifest = {
         "command": command,
         "tool_version": __version__,
-        "inputs": {name: file_digest(p) for name, p in inputs.items()},
+        "inputs": {"model": model_digest},
         "flags": flags,
         "created": _now(),
     }
@@ -86,9 +83,10 @@ def _scaled_prices(series: RawSeries, unit: str) -> RawSeries:
     return dataclasses.replace(series, values=series.values * 1e-3)
 
 
-def _load_model(args) -> tuple[LinearDemandModel, Tariff]:
-    """The model in `--model` and its baseline tariff, with `--flat-rate` and
-    `--connection-charge` in place of the file's; an error names the file."""
+def _load_model(args) -> tuple[LinearDemandModel, Tariff, str]:
+    """The model in `--model`, its baseline tariff, with `--flat-rate` and
+    `--connection-charge` in place of the file's, and the file's digest; an
+    error names the file."""
     overrides = {
         "baseline_flat_rate": args.flat_rate,
         "baseline_connection_charge": args.connection_charge,
@@ -107,7 +105,7 @@ def _load_model(args) -> tuple[LinearDemandModel, Tariff]:
             f"{args.model}: model file carries no baseline tariff; pass "
             "--flat-rate and --connection-charge"
         )
-    return model, checked_baseline(model, baseline)
+    return model, checked_baseline(model, baseline), payload.digest
 
 
 def _baseline_flags(baseline: Tariff) -> dict:
@@ -222,7 +220,7 @@ def print_solution(
 
 
 def cmd_solve(args) -> int:
-    model, baseline = _load_model(args)
+    model, baseline, digest = _load_model(args)
     F = _resolve_target(args.target_rs, model, baseline)
     family = _ALIASES[args.family]
     tariff, diagnostics = FAMILIES[family].solve(model, F, baseline)
@@ -245,7 +243,7 @@ def cmd_solve(args) -> int:
         )
         Path(args.out).write_text(front_csv([front], model.periods))
         _write_manifest(
-            args.out, "solve", {"model": args.model},
+            args.out, "solve", digest,
             {"family": family, "target_rs": args.target_rs,
              **_baseline_flags(baseline)},
         )
@@ -258,7 +256,7 @@ def cmd_pareto(args) -> int:
         raise ValueError(f"--steps must be >= 1, got {steps}")
     if steps > MAX_STEPS:
         raise ValueError(f"--steps must be at most {MAX_STEPS}, got {steps}")
-    model, baseline = _load_model(args)
+    model, baseline, digest = _load_model(args)
     families = _parse_families(args.families)
     if args.f_min is not None or args.f_max is not None:
         if args.f_min is None or args.f_max is None:
@@ -290,18 +288,22 @@ def cmd_pareto(args) -> int:
     }
     if args.out:
         Path(args.out).write_text(csv_text)
-        _write_manifest(args.out, "pareto", {"model": args.model}, flags)
+        _write_manifest(args.out, "pareto", digest, flags)
         print(f"front table written to {args.out}")
     else:
         sys.stdout.write(csv_text)
     if args.svg:
+        from .svg import render_fronts
+
         Path(args.svg).write_text(render_fronts(fronts))
-        _write_manifest(args.svg, "pareto", {"model": args.model}, flags)
+        _write_manifest(args.svg, "pareto", digest, flags)
         print(f"front plot written to {args.svg}")
     return 0
 
 
 def cmd_check(args) -> int:
+    from .checks import run_model_checks
+
     payload = read_model_file(args.model)
     try:
         results = run_model_checks(payload)

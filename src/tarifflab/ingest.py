@@ -9,10 +9,14 @@ the observed consumption scenario by scenario.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
+import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -376,11 +380,19 @@ def revenue_baseline(
 #   baseline.flat_rate = <float>            (optional)
 #   baseline.connection_charge = <float>    (optional)
 #   provenance.<key> = <string>             (optional block, created last)
+#
+# Beside it the writer leaves a memo, `<model file>.npz`: the payload the
+# reader parses from that text, stored as binary arrays under the text's
+# sha256 digest. The reader takes the payload from the memo when the digests
+# match and the memo is well formed, and parses the text otherwise.
 
 
 @dataclass(frozen=True)
 class ModelFilePayload:
-    """Raw model-file contents; semantic validation happens in `to_model`."""
+    """Raw model-file contents; semantic validation happens in `to_model`.
+
+    `digest` is the `file_digest` of the file the payload was read from.
+    """
 
     periods: int
     customers: int
@@ -390,6 +402,7 @@ class ModelFilePayload:
     baseline_flat_rate: float | None = None
     baseline_connection_charge: float | None = None
     provenance: dict[str, str] = field(default_factory=dict)
+    digest: str | None = None
 
     def to_model(self) -> LinearDemandModel:
         return LinearDemandModel(
@@ -440,18 +453,106 @@ def write_model_file(
     baseline: CalibrationConfig | None = None,
     provenance: dict[str, str] | None = None,
 ) -> None:
-    """Write the model file one line at a time.
+    """Write the model file one line at a time, then its memo.
 
     A provenance value that is not single-line raises ValueError before the
     file is opened, so it leaves no file and truncates no existing one.
+    The bytes are hashed as they are written, and the memo is stored under
+    that digest (`_write_memo`).
     """
     provenance = provenance or {}
     # every line break str.splitlines() knows, since the reader splits on all
     if any("".join(str(v).splitlines()) != str(v) for v in provenance.values()):
         raise ValueError("provenance values must be single-line")
-    lines = _model_file_lines(model, baseline, provenance)
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.writelines(f"{line}\n" for line in lines)
+    path = Path(path)
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+        for line in _model_file_lines(model, baseline, provenance):
+            data = f"{line}\n".encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    _write_memo(path, "sha256:" + digest.hexdigest(), model, baseline, provenance)
+
+
+def memo_path(path) -> Path:
+    """The memo of model file `path`: `<path>.npz`, beside it."""
+    path = Path(path)
+    return path.with_name(path.name + ".npz")
+
+
+_MEMO_ARRAYS = ("G", "lams", "omegas")
+
+
+def _read_back(value) -> float | None:
+    """The float the reader parses from `repr(value)`, or None if it refuses it."""
+    count, values = _floats(repr(value))
+    if count != 1 or values is None or not np.isfinite(values[0]):
+        return None
+    return float(values[0])
+
+
+def _memo_header(model: LinearDemandModel, baseline, provenance) -> dict | None:
+    """The payload's scalars as the reader parses them from the lines
+    `_model_file_lines` writes, or None if it refuses those lines: a customer
+    count below one, a non-finite G or moment, a baseline value or a
+    provenance line that does not read back."""
+    try:
+        customers = int(f"{model.customers}")
+    except ValueError:
+        return None
+    ss = model.scenarios
+    arrays = (model.G, ss.lambda_bar, ss.omega_bar, ss.sigma_lambda_omega)
+    if customers < 1 or not all(np.isfinite(a).all() for a in arrays):
+        return None
+    rates = (None, None)
+    if baseline is not None:
+        rates = (_read_back(baseline.flat_rate), _read_back(baseline.connection_charge))
+        if None in rates:
+            return None
+    read = {}
+    for key, value in provenance.items():
+        line = f"provenance.{key} = {value}"
+        name, sep, text = line.strip().partition(" = ")
+        if line.splitlines() != [line] or not sep:
+            return None
+        read[name.strip()[len("provenance."):]] = text
+    return {
+        "periods": model.periods,
+        "customers": customers,
+        "scenario_count": ss.n_scenarios,
+        "baseline_flat_rate": rates[0],
+        "baseline_connection_charge": rates[1],
+        "provenance": read,
+    }
+
+
+def _write_memo(path: Path, digest: str, model, baseline, provenance) -> None:
+    """Store the payload the reader parses from `path`, keyed on `digest`.
+
+    The memo goes through a temp file and `os.replace`, so a reader sees an
+    old memo or the new one, never part of one. Nothing is stored for a file
+    the reader refuses, for a path that is not a regular file, or when the
+    memo cannot be written; an old memo then stays, stale, and is ignored.
+    """
+    header = _memo_header(model, baseline, provenance)
+    if header is None or not path.is_file():
+        return
+    header["digest"] = digest
+    ss = model.scenarios
+    arrays = (model.G, ss.lams, ss.omegas)
+    memo = memo_path(path)
+    tmp = memo.with_name(f"{memo.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez(
+                fh,
+                header=np.frombuffer(json.dumps(header).encode(), np.uint8),
+                **{k: np.ascontiguousarray(a) for k, a in zip(_MEMO_ARRAYS, arrays)},
+            )
+        os.replace(tmp, memo)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def model_payload_text(path) -> str:
@@ -507,7 +608,66 @@ def _model_lines(path: Path):
 
 
 def read_model_file(path) -> ModelFilePayload:
-    """Parse a model file into its raw payload, in one pass over its lines.
+    """A model file's raw payload, from its memo if that is current, else
+    from the text.
+
+    The file is hashed once. The memo is used if it loads without pickle,
+    carries the file's digest, and holds finite float64 arrays of the shapes
+    its header gives; in every other case the text is parsed
+    (`_parse_model_text`). The digest goes into the payload either way.
+    """
+    path = Path(path)
+    digest = file_digest(path)
+    payload = _read_memo(path, digest) or _parse_model_text(path)
+    return dataclasses.replace(payload, digest=digest)
+
+
+def _read_memo(path: Path, digest: str) -> ModelFilePayload | None:
+    """The payload the memo of `path` holds under `digest`, or None."""
+    # any fault of a memo (missing, truncated, not a zip, a member missing or
+    # of the wrong type) only sends the read to the text, so none is raised;
+    # the file is opened here so that it is closed whatever np.load raises
+    try:
+        with memo_path(path).open("rb") as fh, np.load(fh, allow_pickle=False) as memo:
+            header = json.loads(memo["header"].tobytes())
+            if header["digest"] != digest:
+                return None
+            arrays = [np.ascontiguousarray(memo[k]) for k in _MEMO_ARRAYS]
+        n, j, customers = (
+            header[k] for k in ("periods", "scenario_count", "customers")
+        )
+        rates = (header["baseline_flat_rate"], header["baseline_connection_charge"])
+        provenance = header["provenance"]
+    except Exception:
+        return None
+    shapes = ((n, n), (j, n), (j, n))
+    if not (
+        all(type(v) is int and v >= 1 for v in (n, j, customers))
+        and all(r is None or type(r) is float and math.isfinite(r) for r in rates)
+        and type(provenance) is dict
+        and all(type(v) is str for v in provenance.values())
+        and all(
+            a.dtype == np.float64 and a.shape == shape and np.isfinite(a).all()
+            for a, shape in zip(arrays, shapes)
+        )
+    ):
+        return None
+    G, lams, omegas = arrays
+    return ModelFilePayload(
+        periods=n,
+        customers=customers,
+        G=G,
+        lams=lams,
+        omegas=omegas,
+        baseline_flat_rate=rates[0],
+        baseline_connection_charge=rates[1],
+        provenance=provenance,
+    )
+
+
+def _parse_model_text(path: Path) -> ModelFilePayload:
+    """Parse a model file's text into its raw payload, in one pass over its
+    lines.
 
     Structural problems (missing keys, wrong counts, fewer than one period
     or customer, non-finite numbers, inconsistent stored moments) raise
@@ -520,7 +680,6 @@ def read_model_file(path) -> ModelFilePayload:
     the header keys are known. A byte that is not UTF-8 is reported before
     any other error, so a line error is held until the whole file is read.
     """
-    path = Path(path)
     entries: dict[str, tuple[int, str]] = {}
     scenario_rows: dict[str, tuple[int, tuple[int, np.ndarray | None]]] = {}
     provenance: dict[str, str] = {}

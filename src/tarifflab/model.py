@@ -340,17 +340,20 @@ class Tariff:
 class WelfareReport:
     """Surplus gains of a tariff relative to a baseline, in $/cycle.
 
-    delta_sw = delta_cs + delta_rs by construction; rs_absolute is the
-    tariff's own expected retailer surplus (not a gain).
+    delta_sw = delta_cs + delta_rs up to rounding; rs_absolute is the
+    tariff's own expected retailer surplus (not a gain). `scale` is the
+    largest magnitude the gains are differences of: rounding in those terms
+    bounds how far delta_sw may sit from delta_cs + delta_rs.
     """
 
     delta_cs: float
     delta_rs: float
     delta_sw: float
     rs_absolute: float
+    scale: float = 1.0
 
     def __post_init__(self):
-        scale = max(1.0, abs(self.delta_cs), abs(self.delta_rs))
+        scale = max(1.0, abs(self.delta_cs), abs(self.delta_rs), self.scale)
         # `not <=`, so that a NaN gain fails too
         if not abs(self.delta_sw - (self.delta_cs + self.delta_rs)) <= 1e-9 * scale:
             raise ValueError("delta_sw must equal delta_cs + delta_rs")
@@ -450,6 +453,9 @@ def welfare_gains(
 
     Gains are exact: the unknown benefit offset is common to both tariffs.
     The report also carries the tariff's absolute retailer surplus.
+    The connection charges M A move money from consumers to the retailer
+    and cancel in delta_sw, which is summed from the price terms alone, so a
+    large charge in delta_cs and delta_rs cannot cancel its digits away.
     """
     if not isinstance(model, LinearDemandModel):
         raise TypeError("welfare gains need the linear-quadratic consumer model")
@@ -458,17 +464,19 @@ def welfare_gains(
             raise DimensionMismatch(
                 f"tariff has {t.periods} periods, model has {model.periods}"
             )
-    rs_tariff = retailer_surplus(model, tariff)
-    delta_cs = float(
-        _cs_term(model, tariff.prices, tariff.connection_charge)
-        - _cs_term(model, baseline.prices, baseline.connection_charge)
+    phi_t, phi_b = (phi_bar(model, t.prices) for t in (tariff, baseline))
+    cs_t, cs_b = (float(_cs_term(model, t.prices)) for t in (tariff, baseline))
+    charge_t, charge_b = (
+        model.customers * t.connection_charge for t in (tariff, baseline)
     )
-    delta_rs = rs_tariff - retailer_surplus(model, baseline)
+    rs_tariff = phi_t + charge_t
+    terms = (phi_t, phi_b, cs_t, cs_b, charge_t, charge_b)
     return WelfareReport(
-        delta_cs=delta_cs,
-        delta_rs=delta_rs,
-        delta_sw=delta_cs + delta_rs,
+        delta_cs=(cs_t - charge_t) - (cs_b - charge_b),
+        delta_rs=rs_tariff - (phi_b + charge_b),
+        delta_sw=(cs_t - cs_b) + (phi_t - phi_b),
         rs_absolute=rs_tariff,
+        scale=max(map(abs, terms)),
     )
 
 

@@ -4,7 +4,9 @@ since is the rule the streaming reader gained later: customers must be >= 1.
 
 It decodes the whole file, splits it with `str.splitlines` and only then
 parses; the streaming reader must give the same payload, or the same
-error type, line and message, on every file.
+error type, line and message, on every file. The fuzz edits files that the
+writer left a memo beside, so the package reader must also ignore a memo
+once its text has been edited.
 """
 
 from pathlib import Path

@@ -485,6 +485,24 @@ class TestSolve:
         achieved = tl.phi_bar(model, prices)
         assert abs(achieved - residual) <= rs_tolerance(residual)
 
+    @pytest.mark.parametrize("target", ["1e25", "1.7976931348623157e+308"])
+    def test_two_part_delta_sw_at_huge_targets(
+        self, bundled_model_file, tmp_path, capsys, target
+    ):
+        rows = {}
+        for raw in ("baseline", target):
+            out = tmp_path / "solve.csv"
+            code = main([
+                "solve", "--model", str(bundled_model_file), "--family", "two-part",
+                "--target-rs", raw, "--out", str(out),
+            ])
+            assert code == 0, capsys.readouterr().err
+            rows[raw] = out.read_text().splitlines()[1].split(",")
+        # M A is a transfer: the two-part gain does not depend on F, and the
+        # charge near the float range does not cancel its digits away
+        assert rows[target][4] == rows["baseline"][4] == "569800.2733449731"
+        assert capsys.readouterr().out.count("delta_sw: 5.698e+05 $/cycle") == 2
+
 
 class TestPareto:
     def test_golden_two_part_rows(self, i2_model_file, capsys):

@@ -15,6 +15,7 @@ from tarifflab.ingest import (
     _parse_dense,
     _parse_rows,
     fit_provenance,
+    memo_path,
     model_payload_text,
     toeplitz_kernel,
 )
@@ -624,7 +625,7 @@ LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "
 MODEL_MUTATIONS = (
     "none", "reorder", "duplicate", "drop", "crlf", "break", "not-utf8",
     "no-separator", "non-numeric", "non-finite", "short-row", "count-beyond",
-    "comment", "pad",
+    "comment", "pad", "edit-value",
 )
 VALUE_KEYS = (
     "g ", "lambda_bar ", "omega_bar ", "sigma_lambda_omega ", "scenario.", "baseline.",
@@ -677,6 +678,19 @@ def _mutate_model_lines(draw, records):
         else:
             values[k] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999"]))
         record[0] = f"{key} = {' '.join(values)}"
+    elif mutation == "edit-value" and rows:
+        # a hand edit to a number that still parses: one ulp, a sign, a double
+        record = draw(st.sampled_from(rows))
+        key, _, value = record[0].partition(" = ")
+        values = value.split()
+        k = draw(st.integers(0, len(values) - 1))
+        try:
+            old = float(values[k])
+        except ValueError:
+            old = 0.0
+        new = draw(st.sampled_from([np.nextafter(old, np.inf), -old, 2 * old]))
+        values[k] = repr(float(new))
+        record[0] = f"{key} = {' '.join(values)}"
     elif mutation == "count-beyond":
         for record in records:
             key, _, count = record[0].partition(" = ")
@@ -726,6 +740,9 @@ def test_model_reader_agrees_with_whole_file_reader(tmp_path_factory, data):
     tl.write_model_file(
         path, model, baseline=baseline, provenance={"command": "fuzz", "created": "t0"}
     )
+    # the file is edited by hand with its memo left in place: unless the edit
+    # is none at all, the memo is stale and the text decides
+    assert memo_path(path).is_file()
     records = [[line, "\n", None] for line in path.read_text(encoding="utf-8").splitlines()]
     for _ in range(draw(st.integers(1, 2))):
         _mutate_model_lines(draw, records)
@@ -779,7 +796,12 @@ class TestBoundedMemory:
         assert out.read_bytes() == model_path.read_bytes()
         assert peak <= model_path.stat().st_size
 
-    def test_read_model_file(self, dataset_500x96):
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_read_model_file(self, tmp_path, dataset_500x96, memo):
         model_path = dataset_500x96[3]
+        assert memo_path(model_path).is_file()
+        if not memo:  # a copy without its memo: the text parser's footprint
+            model_path = tmp_path / "copy.tlm"
+            model_path.write_bytes(dataset_500x96[3].read_bytes())
         peak = _peak_traced(tl.read_model_file, model_path)
         assert peak <= 2 * model_path.stat().st_size
