@@ -12,18 +12,22 @@ import argparse
 import dataclasses
 import json
 import math
+import pickle
 import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
+from ._forkjoin import Forked
 from .errors import InfeasibleTarget, InvalidRegime, NegativePrice, TariffLabError
 from .ingest import (
     CalibrationConfig,
     RawSeries,
+    _parse_dense,
     baseline_tariff,
     calibrate_demand,
     estimate_moments,
@@ -34,6 +38,8 @@ from .ingest import (
     write_model_file,
 )
 from .model import (
+    FAMILY_ALIASES,
+    TARIFF_FAMILIES,
     LinearDemandModel,
     Tariff,
     WelfareReport,
@@ -42,7 +48,9 @@ from .model import (
     retailer_surplus,
     welfare_gains,
 )
-from .pareto import FAMILIES, ParetoFront, ParetoPoint, default_revenue_grid, sweep
+
+if TYPE_CHECKING:
+    from .pareto import ParetoFront
 
 # options whose value may be a negative number such as -2.5e4 or -inf
 _NUMERIC_OPTIONS = (
@@ -53,7 +61,11 @@ _NUMERIC_OPTIONS = (
 MAX_STEPS = 10_000
 
 # every accepted spelling of a family, its own name included
-_ALIASES = {a: f.name for f in FAMILIES.values() for a in (f.name, *f.aliases)}
+_ALIASES = {
+    spelling: name
+    for name, aliases in FAMILY_ALIASES.items()
+    for spelling in (name, *aliases)
+}
 
 
 def _money(x: float) -> str:
@@ -129,7 +141,7 @@ def _resolve_target(raw: str, model: LinearDemandModel, baseline: Tariff) -> flo
 
 def _parse_families(raw: str) -> set[str]:
     if raw == "all":
-        return set(FAMILIES)
+        return set(TARIFF_FAMILIES)
     names = [part.strip() for part in raw.split(",") if part.strip()]
     unknown = [n for n in names if n not in _ALIASES]
     if unknown or not names:
@@ -170,9 +182,29 @@ def _parse_csv_with_context(path, kind: str) -> RawSeries:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _parse_inputs(args) -> tuple[RawSeries, RawSeries]:
+    """The load and price series of `fit`.
+
+    A forked child (`Forked`) parses a clean prices file while this process
+    parses the load file. A prices file the child does not return, unclean
+    or failed or killed, is parsed here after the load file, so errors come
+    in the same order and with the same text as from two serial parses.
+    """
+
+    def parse_prices() -> bytes:
+        return pickle.dumps(_parse_dense(Path(args.prices).read_bytes(), "price"))
+
+    with Forked(parse_prices) as child:
+        load = _parse_csv_with_context(args.load, "load")
+        data = b"".join(child.blocks())
+    prices = pickle.loads(data) if child.complete else None
+    if prices is None:
+        prices = _parse_csv_with_context(args.prices, "price")
+    return load, _scaled_prices(prices, args.price_unit)
+
+
 def cmd_fit(args) -> int:
-    load = _parse_csv_with_context(args.load, "load")
-    prices = _scaled_prices(_parse_csv_with_context(args.prices, "price"), args.price_unit)
+    load, prices = _parse_inputs(args)
     try:
         scenarios = estimate_moments(load, prices)
     except NegativePrice as exc:
@@ -220,6 +252,8 @@ def print_solution(
 
 
 def cmd_solve(args) -> int:
+    from .pareto import FAMILIES, ParetoFront, ParetoPoint
+
     model, baseline, digest = _load_model(args)
     F = _resolve_target(args.target_rs, model, baseline)
     family = _ALIASES[args.family]
@@ -251,6 +285,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    from .pareto import default_revenue_grid, sweep
+
     steps = args.steps
     if steps < 1:
         raise ValueError(f"--steps must be >= 1, got {steps}")

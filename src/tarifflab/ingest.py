@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._forkjoin import Forked
 from .errors import (
     AlignmentMismatch,
     MalformedRow,
@@ -181,21 +182,29 @@ def _parse_dense(data: bytes, kind: str) -> RawSeries | None:
     if hour.min() < 0:  # the row reader names the line
         return None
 
-    order = np.lexsort((hour, day))
     periods = int(hour.max()) + 1
     if rows.size % periods:
         return None
-    day = day[order].reshape(-1, periods)
-    hour = hour[order].reshape(-1, periods)
-    if not (
-        (hour == np.arange(periods)).all()
+    # rows already in (day, hour) order are the order lexsort would give
+    if not _fills_block(day, hour, periods):
+        order = np.lexsort((hour, day))
+        day, hour, values = day[order], hour[order], values[order]
+        if not _fills_block(day, hour, periods):
+            return None
+    return RawSeries(
+        values=np.ascontiguousarray(values).reshape(-1, periods),
+        day_labels=tuple(day[::periods].tolist()),
+    )
+
+
+def _fills_block(day: np.ndarray, hour: np.ndarray, periods: int) -> bool:
+    """Whether rows labelled `day`, `hour`, in this order, are a (days x
+    periods) block: each day's hours 0..N-1 in turn, days ascending."""
+    day = day.reshape(-1, periods)
+    return bool(
+        (hour.reshape(-1, periods) == np.arange(periods)).all()
         and (day == day[:, :1]).all()
         and (np.diff(day[:, 0]) > 0).all()
-    ):
-        return None
-    return RawSeries(
-        values=values[order].reshape(-1, periods),
-        day_labels=tuple(day[:, 0].tolist()),
     )
 
 
@@ -425,7 +434,7 @@ def _fmt_vector(v: np.ndarray) -> str:
     return " ".join(map(repr, np.asarray(v, dtype=float).ravel().tolist()))
 
 
-def _model_file_lines(model: LinearDemandModel, baseline, provenance):
+def _head_lines(model: LinearDemandModel):
     ss = model.scenarios
     yield f"format = {MODEL_FORMAT}"
     yield f"periods = {model.periods}"
@@ -436,14 +445,43 @@ def _model_file_lines(model: LinearDemandModel, baseline, provenance):
     yield f"sigma_lambda_omega = {_fmt_vector(ss.sigma_lambda_omega)}"
     yield "sigma_convention = population-ddof0"
     yield f"scenario_count = {ss.n_scenarios}"
-    for j in range(ss.n_scenarios):
+
+
+def _scenario_lines(ss: ScenarioSet, days: range):
+    for j in days:
         yield f"scenario.{j}.lambda = {_fmt_vector(ss.lams[j])}"
         yield f"scenario.{j}.omega = {_fmt_vector(ss.omegas[j])}"
+
+
+def _tail_lines(baseline, provenance):
     if baseline is not None:
         yield f"baseline.flat_rate = {baseline.flat_rate!r}"
         yield f"baseline.connection_charge = {baseline.connection_charge!r}"
     for key, value in provenance.items():
         yield f"provenance.{key} = {value}"
+
+
+def _encoded(lines):
+    for line in lines:
+        yield f"{line}\n".encode("utf-8")
+
+
+def _skipped(chunks, size: int):
+    """The bytes of `chunks` after their first `size`."""
+    for chunk in chunks:
+        if size < len(chunk):
+            yield chunk[size:]
+        size = max(0, size - len(chunk))
+
+
+def _provenance_read(key, value) -> tuple[str, str] | None:
+    """The (key, value) the reader parses from the line `_tail_lines` writes
+    for one provenance entry, or None if it refuses that line."""
+    line = f"provenance.{key} = {value}"
+    name, sep, text = line.strip().partition(" = ")
+    if line.splitlines() != [line] or not sep:
+        return None
+    return name.strip()[len("provenance."):], text
 
 
 def write_model_file(
@@ -453,24 +491,49 @@ def write_model_file(
     baseline: CalibrationConfig | None = None,
     provenance: dict[str, str] | None = None,
 ) -> None:
-    """Write the model file one line at a time, then its memo.
+    """Write the model file a line at a time, then its memo.
 
-    A provenance value that is not single-line raises ValueError before the
-    file is opened, so it leaves no file and truncates no existing one.
-    The bytes are hashed as they are written, and the memo is stored under
-    that digest (`_write_memo`).
+    A provenance entry whose line does not read back as written (a key or
+    value that spans lines, is padded or empty, or a key holding ' = ')
+    raises ValueError before the file is opened, so it leaves no file and
+    truncates no existing one. A forked child (`Forked`) formats the second
+    half of the scenario lines while this process writes the lines before
+    them; its bytes are copied in after those, and whatever it did not
+    deliver is formatted here. The bytes are hashed as they are written, and
+    the memo is stored under that digest (`_write_memo`).
     """
     provenance = provenance or {}
-    # every line break str.splitlines() knows, since the reader splits on all
-    if any("".join(str(v).splitlines()) != str(v) for v in provenance.values()):
-        raise ValueError("provenance values must be single-line")
+    for key, value in provenance.items():
+        if _provenance_read(key, value) != (f"{key}", f"{value}"):
+            raise ValueError(
+                "provenance values must be single-line, and each entry must read "
+                "back as written (key and value unpadded, value non-empty, no "
+                f"' = ' in the key); got {key!r}: {value!r}"
+            )
     path = Path(path)
+    ss = model.scenarios
+    second = range(ss.n_scenarios // 2, ss.n_scenarios)
     digest = hashlib.sha256()
-    with path.open("wb") as fh:
-        for line in _model_file_lines(model, baseline, provenance):
-            data = f"{line}\n".encode("utf-8")
-            digest.update(data)
-            fh.write(data)
+
+    def child_share() -> bytes:
+        return b"".join(_encoded(_scenario_lines(ss, second)))
+
+    with path.open("wb") as fh, Forked(child_share) as child:
+
+        def put(chunks) -> int:
+            size = 0
+            for data in chunks:
+                digest.update(data)
+                fh.write(data)
+                size += len(data)
+            return size
+
+        put(_encoded(_head_lines(model)))
+        put(_encoded(_scenario_lines(ss, range(second.start))))
+        done = put(child.blocks())
+        if not child.complete:
+            put(_skipped(_encoded(_scenario_lines(ss, second)), done))
+        put(_encoded(_tail_lines(baseline, provenance)))
     _write_memo(path, "sha256:" + digest.hexdigest(), model, baseline, provenance)
 
 
@@ -493,7 +556,7 @@ def _read_back(value) -> float | None:
 
 def _memo_header(model: LinearDemandModel, baseline, provenance) -> dict | None:
     """The payload's scalars as the reader parses them from the lines
-    `_model_file_lines` writes, or None if it refuses those lines: a customer
+    `write_model_file` writes, or None if it refuses those lines: a customer
     count below one, a non-finite G or moment, a baseline value or a
     provenance line that does not read back."""
     try:
@@ -509,20 +572,16 @@ def _memo_header(model: LinearDemandModel, baseline, provenance) -> dict | None:
         rates = (_read_back(baseline.flat_rate), _read_back(baseline.connection_charge))
         if None in rates:
             return None
-    read = {}
-    for key, value in provenance.items():
-        line = f"provenance.{key} = {value}"
-        name, sep, text = line.strip().partition(" = ")
-        if line.splitlines() != [line] or not sep:
-            return None
-        read[name.strip()[len("provenance."):]] = text
+    read = [_provenance_read(key, value) for key, value in provenance.items()]
+    if None in read:
+        return None
     return {
         "periods": model.periods,
         "customers": customers,
         "scenario_count": ss.n_scenarios,
         "baseline_flat_rate": rates[0],
         "baseline_connection_charge": rates[1],
-        "provenance": read,
+        "provenance": dict(read),
     }
 
 

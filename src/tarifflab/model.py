@@ -18,13 +18,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroExpectedDemand
 
-TARIFF_FAMILIES = (
-    "two-part-optimal",
-    "linear-optimal",
-    "flat-linear",
-    "fixed-A-two-part",
-    "adjusted-flat",
-)
+# each tariff family, in sweep order, and its other CLI spellings
+FAMILY_ALIASES = {
+    "two-part-optimal": ("two-part",),
+    "linear-optimal": ("linear",),
+    "flat-linear": (),
+    "fixed-A-two-part": ("fixed-a-two-part",),
+    "adjusted-flat": (),
+}
+TARIFF_FAMILIES = tuple(FAMILY_ALIASES)
 
 _SYMMETRY_TOL = 1e-12
 

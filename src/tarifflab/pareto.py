@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import InfeasibleTarget, InvalidRegime, TooFewPoints
 from .model import (
+    FAMILY_ALIASES,
     TARIFF_FAMILIES,
     LinearDemandModel,
     Tariff,
@@ -29,7 +30,8 @@ from .solvers import (
 
 @dataclass(frozen=True)
 class Family:
-    """One tariff family: its name, CLI aliases, plot colour and solver.
+    """One tariff family: its name, plot colour and solver, and its CLI
+    aliases from `model.FAMILY_ALIASES`.
 
     `solve(model, F, baseline)` returns the tariff and the diagnostics
     `solve` prints. The fixed-charge families keep the baseline's connection
@@ -39,9 +41,12 @@ class Family:
     """
 
     name: str
-    aliases: tuple[str, ...]
     color: str
     solve: Callable[..., tuple[Tariff, dict[str, float]]]
+
+    @property
+    def aliases(self) -> tuple[str, ...]:
+        return FAMILY_ALIASES[self.name]
 
 
 def _ramsey_diagnostics(solution: RamseySolution) -> dict[str, float]:
@@ -78,11 +83,11 @@ def _adjusted_flat(model, F, baseline):
 FAMILIES = {
     f.name: f
     for f in (
-        Family("two-part-optimal", ("two-part",), "#1f77b4", _two_part),
-        Family("linear-optimal", ("linear",), "#d62728", _linear),
-        Family("flat-linear", (), "#9467bd", _flat),
-        Family("fixed-A-two-part", ("fixed-a-two-part",), "#2ca02c", _fixed_A),
-        Family("adjusted-flat", (), "#ff7f0e", _adjusted_flat),
+        Family("two-part-optimal", "#1f77b4", _two_part),
+        Family("linear-optimal", "#d62728", _linear),
+        Family("flat-linear", "#9467bd", _flat),
+        Family("fixed-A-two-part", "#2ca02c", _fixed_A),
+        Family("adjusted-flat", "#ff7f0e", _adjusted_flat),
     )
 }
 

@@ -14,10 +14,11 @@ Regenerate with `python -m tarifflab.synthetic --out-dir <dir>`.
 from __future__ import annotations
 
 import argparse
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
+
+from ._forkjoin import Forked
 
 DEFAULT_SEED = 20150601
 DEFAULT_DAYS = 92
@@ -84,13 +85,13 @@ def synthetic_series(
     return load, prices
 
 
-def _write_series(path: Path, values: np.ndarray) -> None:
-    lines = ["day,hour,value"]
+def _series_bytes(values: np.ndarray) -> bytes:
+    """The CSV text of a (days x periods) block, one `day,hour,value` row per cell."""
     days, periods = values.shape
-    for j in range(days):
-        for h in range(periods):
-            lines.append(f"{j},{h},{float(values[j, h])!r}")
-    path.write_text("\n".join(lines) + "\n")
+    hours = [f",{h}," for h in range(periods)]
+    labels = [f"{j}{h}" for j in range(days) for h in hours]
+    rows = map(str.__add__, labels, map(repr, values.ravel().tolist()))
+    return ("day,hour,value\n" + "\n".join(rows) + "\n").encode()
 
 
 def write_synthetic_csvs(
@@ -99,18 +100,26 @@ def write_synthetic_csvs(
     periods: int = DEFAULT_PERIODS,
     seed: int = DEFAULT_SEED,
 ) -> tuple[Path, Path]:
+    """Write the load and price CSVs; a forked child (`Forked`) formats the
+    prices while this process formats and writes the load, and this process
+    formats them itself if the child does not deliver them."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     load, prices = synthetic_series(days, periods, seed)
     load_path = out_dir / LOAD_FILENAME
     prices_path = out_dir / PRICES_FILENAME
-    _write_series(load_path, load)
-    _write_series(prices_path, prices)
+    with Forked(lambda: _series_bytes(prices)) as child:
+        load_path.write_bytes(_series_bytes(load))
+        text = b"".join(child.blocks())
+    prices_path.write_bytes(text if child.complete else _series_bytes(prices))
     return load_path, prices_path
 
 
 def bundled_dataset_paths() -> tuple[Path, Path]:
     """Paths of the packaged synthetic load and price CSVs."""
+    # imported here: it costs `python -m tarifflab.synthetic` start-up time
+    from importlib import resources
+
     data = resources.files("tarifflab") / "data"
     return Path(str(data / LOAD_FILENAME)), Path(str(data / PRICES_FILENAME))
 

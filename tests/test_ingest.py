@@ -172,6 +172,24 @@ class TestParseCsv:
             assert fast.values.tobytes() == lf.values.tobytes()
             assert fast.day_labels == lf.day_labels
 
+    def test_ordered_rows_skip_the_sort(self, monkeypatch):
+        from tarifflab.synthetic import bundled_dataset_paths
+
+        for path, kind in zip(bundled_dataset_paths(), ("load", "price")):
+            header, *rows = path.read_bytes().splitlines(keepends=True)
+            np.random.default_rng(0).shuffle(rows)
+            shuffled = _parse_dense(header + b"".join(rows), kind)
+
+            def unsorted(keys):
+                raise AssertionError("rows in (day, hour) order were sorted")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "lexsort", unsorted)
+                ordered = _parse_dense(path.read_bytes(), kind)
+            assert ordered.values.flags.c_contiguous
+            assert ordered.values.tobytes() == shuffled.values.tobytes()
+            assert ordered.day_labels == shuffled.day_labels
+
     @pytest.mark.parametrize("data", [
         b"day,hour,value\r0,0,1.0\r0,1,2.0\r",
         b"day,hour,value\n0,0,1.0\r0,1,2.0\n",

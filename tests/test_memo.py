@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_model_reader
 import tarifflab as tl
 from tarifflab import ingest
 from tarifflab.cli import main
@@ -58,6 +59,19 @@ def assert_same_payload(got: ingest.ModelFilePayload, want: ingest.ModelFilePayl
     assert list(got.provenance) == list(want.provenance)
 
 
+def _reads_back(path: Path, provenance: dict) -> bool:
+    """Whether the reference reader gives `provenance` back, as written, from
+    its lines appended to a copy of the model file `path`."""
+    copy = path.with_name("appended.tlm")
+    lines = "".join(f"provenance.{k} = {v}\n" for k, v in provenance.items())
+    copy.write_bytes(path.read_bytes() + lines.encode())
+    try:
+        read = reference_model_reader.read_model_file(copy).provenance
+    except tl.ModelFileError:
+        return False
+    return read == {f"{k}": f"{v}" for k, v in provenance.items()}
+
+
 def _outcome(read, path):
     try:
         return read(path), None
@@ -83,13 +97,19 @@ def test_memo_read_equals_text_parse(
     out = tmp_path_factory.mktemp("memo")
     model, config = _fitted(out, days, periods, seed, customers)
     path = out / "model.tlm"
-    tl.write_model_file(path, model, baseline=config if with_baseline else None,
-                        provenance=provenance)
+    baseline = config if with_baseline else None
+    # provenance the reader would not give back is refused before any write
+    tl.write_model_file(out / "bare.tlm", model, baseline=baseline)
+    if not _reads_back(out / "bare.tlm", provenance):
+        with pytest.raises(ValueError, match="read back as written"):
+            tl.write_model_file(path, model, baseline=baseline, provenance=provenance)
+        assert not path.exists()
+        return
+    tl.write_model_file(path, model, baseline=baseline, provenance=provenance)
     text, error = _outcome(ingest._parse_model_text, path)
     digest = ingest.file_digest(path)
     memo = ingest._read_memo(path, digest)
-    # the writer leaves a memo exactly when the reader accepts its text (an
-    # empty key and value make a line "provenance. =", which it refuses)
+    # the writer leaves a memo exactly when the reader accepts its text
     assert (memo is None) == (text is None)
     got, got_error = _outcome(tl.read_model_file, path)
     assert got_error == error
@@ -115,18 +135,24 @@ def test_hit_skips_the_text(tmp_path, monkeypatch):
 @pytest.mark.parametrize("provenance", [
     {"x\ny": "1"},            # a key that breaks its line
     {"": ""},                 # "provenance. =": no separator once stripped
-    {"a = b": "c  "},         # read back as key "a", value "b = c"
+    {"a = b": "c  "},         # it would read back as key "a", value "b = c"
     {"k": "v\x00"},           # a trailing NUL the reader keeps
 ])
 def test_provenance_the_reader_splits_its_own_way(tmp_path, provenance):
     model, _ = _fitted(tmp_path, 3, 1, 2)
     path = tmp_path / "model.tlm"
+    tl.write_model_file(tmp_path / "bare.tlm", model)
+    if not _reads_back(tmp_path / "bare.tlm", provenance):  # all but the NUL
+        with pytest.raises(ValueError, match="read back as written"):
+            tl.write_model_file(path, model, provenance=provenance)
+        assert not path.exists()
+        return
     tl.write_model_file(path, model, provenance=provenance)
     text, error = _outcome(ingest._parse_model_text, path)
     got, got_error = _outcome(tl.read_model_file, path)
-    assert got_error == error
-    if text is not None:
-        assert_same_payload(got, text)
+    assert error is None and got_error is None
+    assert_same_payload(got, text)
+    assert got.provenance == provenance
 
 
 def test_no_memo_for_a_file_the_reader_refuses(tmp_path):
@@ -391,7 +417,10 @@ def _loaded(code: str) -> list[str]:
 def test_imports_are_lazy():
     assert _loaded("import tarifflab") == ["tarifflab"]
     loaded = _loaded("import tarifflab.cli")
-    assert not {"tarifflab.checks", "tarifflab.oracle", "tarifflab.svg"} & set(loaded)
+    assert not {
+        "tarifflab.checks", "tarifflab.oracle", "tarifflab.pareto", "tarifflab.solvers",
+        "tarifflab.svg",
+    } & set(loaded)
     assert "tarifflab.solvers" not in _loaded("import tarifflab.synthetic")
 
 
