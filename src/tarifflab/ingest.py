@@ -455,8 +455,8 @@ def _scenario_lines(ss: ScenarioSet, days: range):
 
 def _tail_lines(baseline, provenance):
     if baseline is not None:
-        yield f"baseline.flat_rate = {baseline.flat_rate!r}"
-        yield f"baseline.connection_charge = {baseline.connection_charge!r}"
+        yield f"baseline.flat_rate = {_fmt_vector(baseline.flat_rate)}"
+        yield f"baseline.connection_charge = {_fmt_vector(baseline.connection_charge)}"
     for key, value in provenance.items():
         yield f"provenance.{key} = {value}"
 
@@ -474,14 +474,40 @@ def _skipped(chunks, size: int):
         size = max(0, size - len(chunk))
 
 
-def _provenance_read(key, value) -> tuple[str, str] | None:
-    """The (key, value) the reader parses from the line `_tail_lines` writes
-    for one provenance entry, or None if it refuses that line."""
-    line = f"provenance.{key} = {value}"
-    name, sep, text = line.strip().partition(" = ")
-    if line.splitlines() != [line] or not sep:
-        return None
-    return name.strip()[len("provenance."):], text
+def _written_payload(path: Path, model, head: list[str], tail: list[str], provenance):
+    """The payload the reader parses from the lines `head`, the model's
+    scenario lines and `tail`; ValueError if it would refuse them, naming
+    the provenance entry a refused line or a changed read-back comes from."""
+    ss = model.scenarios
+    # each tail line's provenance entry (None for a baseline line); a line
+    # break in one starts a line of its own in the file
+    owners = [None] * (len(tail) - len(provenance)) + [*provenance.items()]
+    numbered, entry_on = [*enumerate(head, start=1)], {}
+    line_no = len(head) + 2 * ss.n_scenarios
+    for text, entry in zip(tail, owners):
+        for part in f"{text}\n".splitlines():
+            line_no += 1
+            numbered.append((line_no, part))
+            entry_on[line_no] = entry
+    try:
+        payload = _payload(path, numbered, (ss.lams, ss.omegas))
+    except ModelFileError as exc:
+        entry = entry_on.get(exc.line)
+        if entry is None:
+            raise ValueError(f"the model file would not read back: {exc}") from None
+    else:
+        entry = next(
+            ((key, value) for key, value in provenance.items()
+             if payload.provenance.get(f"{key}") != f"{value}"),
+            None,
+        )
+        if entry is None:
+            return payload
+    raise ValueError(
+        "provenance values must be single-line, and each entry must read back "
+        "as written (key and value unpadded, value non-empty, no ' = ' in the "
+        f"key); got {entry[0]!r}: {entry[1]!r}"
+    )
 
 
 def write_model_file(
@@ -493,23 +519,15 @@ def write_model_file(
 ) -> None:
     """Write the model file a line at a time, then its memo.
 
-    A provenance entry whose line does not read back as written (a key or
-    value that spans lines, is padded or empty, or a key holding ' = ')
-    raises ValueError before the file is opened, so it leaves no file and
-    truncates no existing one. A forked child (`Forked`) formats the second
-    half of the scenario lines while this process writes the lines before
-    them; its bytes are copied in after those, and whatever it did not
-    deliver is formatted here. The bytes are hashed as they are written, and
-    the memo is stored under that digest (`_write_memo`).
+    The lines around the scenario rows are formatted once and read back by
+    the reader's rules (`_written_payload`): a file it would refuse raises
+    ValueError before the file is opened, leaving no file and truncating no
+    old one. A forked child (`Forked`) formats the second half of the
+    scenario lines meanwhile; whatever it does not deliver is formatted
+    here. The payload read back is the memo, stored under the digest of the
+    bytes written (`_write_memo`).
     """
     provenance = provenance or {}
-    for key, value in provenance.items():
-        if _provenance_read(key, value) != (f"{key}", f"{value}"):
-            raise ValueError(
-                "provenance values must be single-line, and each entry must read "
-                "back as written (key and value unpadded, value non-empty, no "
-                f"' = ' in the key); got {key!r}: {value!r}"
-            )
     path = Path(path)
     ss = model.scenarios
     second = range(ss.n_scenarios // 2, ss.n_scenarios)
@@ -518,23 +536,28 @@ def write_model_file(
     def child_share() -> bytes:
         return b"".join(_encoded(_scenario_lines(ss, second)))
 
-    with path.open("wb") as fh, Forked(child_share) as child:
+    with Forked(child_share) as child:
+        head = [*_head_lines(model)]
+        tail = [*_tail_lines(baseline, provenance)]
+        payload = _written_payload(path, model, head, tail, provenance)
+        ending = b"".join(_encoded(tail))  # text that is not UTF-8 is refused here
+        with path.open("wb") as fh:
 
-        def put(chunks) -> int:
-            size = 0
-            for data in chunks:
-                digest.update(data)
-                fh.write(data)
-                size += len(data)
-            return size
+            def put(chunks) -> int:
+                size = 0
+                for data in chunks:
+                    digest.update(data)
+                    fh.write(data)
+                    size += len(data)
+                return size
 
-        put(_encoded(_head_lines(model)))
-        put(_encoded(_scenario_lines(ss, range(second.start))))
-        done = put(child.blocks())
-        if not child.complete:
-            put(_skipped(_encoded(_scenario_lines(ss, second)), done))
-        put(_encoded(_tail_lines(baseline, provenance)))
-    _write_memo(path, "sha256:" + digest.hexdigest(), model, baseline, provenance)
+            put(_encoded(head))
+            put(_encoded(_scenario_lines(ss, range(second.start))))
+            done = put(child.blocks())
+            if not child.complete:
+                put(_skipped(_encoded(_scenario_lines(ss, second)), done))
+            put([ending])
+    _write_memo(path, dataclasses.replace(payload, digest="sha256:" + digest.hexdigest()))
 
 
 def memo_path(path) -> Path:
@@ -543,62 +566,24 @@ def memo_path(path) -> Path:
     return path.with_name(path.name + ".npz")
 
 
+# the payload's arrays, stored as arrays; its other fields go in the JSON header
 _MEMO_ARRAYS = ("G", "lams", "omegas")
+_MEMO_HEADER = tuple(
+    f.name for f in dataclasses.fields(ModelFilePayload) if f.name not in _MEMO_ARRAYS
+)
 
 
-def _read_back(value) -> float | None:
-    """The float the reader parses from `repr(value)`, or None if it refuses it."""
-    count, values = _floats(repr(value))
-    if count != 1 or values is None or not np.isfinite(values[0]):
-        return None
-    return float(values[0])
-
-
-def _memo_header(model: LinearDemandModel, baseline, provenance) -> dict | None:
-    """The payload's scalars as the reader parses them from the lines
-    `write_model_file` writes, or None if it refuses those lines: a customer
-    count below one, a non-finite G or moment, a baseline value or a
-    provenance line that does not read back."""
-    try:
-        customers = int(f"{model.customers}")
-    except ValueError:
-        return None
-    ss = model.scenarios
-    arrays = (model.G, ss.lambda_bar, ss.omega_bar, ss.sigma_lambda_omega)
-    if customers < 1 or not all(np.isfinite(a).all() for a in arrays):
-        return None
-    rates = (None, None)
-    if baseline is not None:
-        rates = (_read_back(baseline.flat_rate), _read_back(baseline.connection_charge))
-        if None in rates:
-            return None
-    read = [_provenance_read(key, value) for key, value in provenance.items()]
-    if None in read:
-        return None
-    return {
-        "periods": model.periods,
-        "customers": customers,
-        "scenario_count": ss.n_scenarios,
-        "baseline_flat_rate": rates[0],
-        "baseline_connection_charge": rates[1],
-        "provenance": dict(read),
-    }
-
-
-def _write_memo(path: Path, digest: str, model, baseline, provenance) -> None:
-    """Store the payload the reader parses from `path`, keyed on `digest`.
+def _write_memo(path: Path, payload: ModelFilePayload) -> None:
+    """Store `payload`, the reader's parse of `path`, keyed on its digest.
 
     The memo goes through a temp file and `os.replace`, so a reader sees an
-    old memo or the new one, never part of one. Nothing is stored for a file
-    the reader refuses, for a path that is not a regular file, or when the
-    memo cannot be written; an old memo then stays, stale, and is ignored.
+    old memo or the new one, never part of one. Nothing is stored for a path
+    that is not a regular file, or when the memo cannot be written; an old
+    memo then stays, stale, and is ignored.
     """
-    header = _memo_header(model, baseline, provenance)
-    if header is None or not path.is_file():
+    if not path.is_file():
         return
-    header["digest"] = digest
-    ss = model.scenarios
-    arrays = (model.G, ss.lams, ss.omegas)
+    header = {k: getattr(payload, k) for k in _MEMO_HEADER}
     memo = memo_path(path)
     tmp = memo.with_name(f"{memo.name}.{os.getpid()}.tmp")
     try:
@@ -606,22 +591,12 @@ def _write_memo(path: Path, digest: str, model, baseline, provenance) -> None:
             np.savez(
                 fh,
                 header=np.frombuffer(json.dumps(header).encode(), np.uint8),
-                **{k: np.ascontiguousarray(a) for k, a in zip(_MEMO_ARRAYS, arrays)},
+                **{k: np.ascontiguousarray(getattr(payload, k)) for k in _MEMO_ARRAYS},
             )
         os.replace(tmp, memo)
     except OSError:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
-
-
-def model_payload_text(path) -> str:
-    """The payload portion of a model file (everything above provenance)."""
-    keep = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("provenance."):
-            break
-        keep.append(line)
-    return "\n".join(keep) + "\n"
 
 
 def _floats(text: str) -> tuple[int, np.ndarray | None]:
@@ -671,9 +646,9 @@ def read_model_file(path) -> ModelFilePayload:
     from the text.
 
     The file is hashed once. The memo is used if it loads without pickle,
-    carries the file's digest, and holds finite float64 arrays of the shapes
-    its header gives; in every other case the text is parsed
-    (`_parse_model_text`). The digest goes into the payload either way.
+    carries the file's digest, and holds finite float64 arrays, G N x N and
+    the scenarios J x N for its header's N; in every other case the text is
+    parsed (`_parse_model_text`). The digest goes into the payload either way.
     """
     path = Path(path)
     digest = file_digest(path)
@@ -691,42 +666,37 @@ def _read_memo(path: Path, digest: str) -> ModelFilePayload | None:
             header = json.loads(memo["header"].tobytes())
             if header["digest"] != digest:
                 return None
-            arrays = [np.ascontiguousarray(memo[k]) for k in _MEMO_ARRAYS]
-        n, j, customers = (
-            header[k] for k in ("periods", "scenario_count", "customers")
-        )
-        rates = (header["baseline_flat_rate"], header["baseline_connection_charge"])
-        provenance = header["provenance"]
+            payload = ModelFilePayload(
+                **{k: header[k] for k in _MEMO_HEADER},
+                **{k: np.ascontiguousarray(memo[k]) for k in _MEMO_ARRAYS},
+            )
+        n, j = payload.periods, len(payload.lams)
     except Exception:
         return None
+    rates = (payload.baseline_flat_rate, payload.baseline_connection_charge)
     shapes = ((n, n), (j, n), (j, n))
     if not (
-        all(type(v) is int and v >= 1 for v in (n, j, customers))
+        all(type(v) is int and v >= 1 for v in (n, j, payload.customers))
         and all(r is None or type(r) is float and math.isfinite(r) for r in rates)
-        and type(provenance) is dict
-        and all(type(v) is str for v in provenance.values())
+        and type(payload.provenance) is dict
+        and all(type(v) is str for v in payload.provenance.values())
         and all(
             a.dtype == np.float64 and a.shape == shape and np.isfinite(a).all()
-            for a, shape in zip(arrays, shapes)
+            for a, shape in zip((payload.G, payload.lams, payload.omegas), shapes)
         )
     ):
         return None
-    G, lams, omegas = arrays
-    return ModelFilePayload(
-        periods=n,
-        customers=customers,
-        G=G,
-        lams=lams,
-        omegas=omegas,
-        baseline_flat_rate=rates[0],
-        baseline_connection_charge=rates[1],
-        provenance=provenance,
-    )
+    return payload
 
 
 def _parse_model_text(path: Path) -> ModelFilePayload:
-    """Parse a model file's text into its raw payload, in one pass over its
-    lines.
+    """Parse a model file's text into its raw payload (`_payload`), in one
+    pass over its lines."""
+    return _payload(path, _model_lines(path))
+
+
+def _payload(path, numbered_lines, scenarios=None) -> ModelFilePayload:
+    """The raw payload of a model file's (line number, line) pairs.
 
     Structural problems (missing keys, wrong counts, fewer than one period
     or customer, non-finite numbers, inconsistent stored moments) raise
@@ -737,13 +707,15 @@ def _parse_model_text(path: Path) -> ModelFilePayload:
 
     Scenario rows are converted to floats as they are read and judged once
     the header keys are known. A byte that is not UTF-8 is reported before
-    any other error, so a line error is held until the whole file is read.
+    any other error, so a line error is held until every line is read.
+    `scenarios`, the (lams, omegas) arrays of a J x N `ScenarioSet`, stands
+    in for the scenario lines: its rows are finite and of N values already.
     """
     entries: dict[str, tuple[int, str]] = {}
     scenario_rows: dict[str, tuple[int, tuple[int, np.ndarray | None]]] = {}
     provenance: dict[str, str] = {}
     line_error = None
-    for line_no, raw in _model_lines(path):
+    for line_no, raw in numbered_lines:
         line = raw.strip()
         if line_error or not line or line.startswith("#"):
             continue
@@ -796,20 +768,22 @@ def _parse_model_text(path: Path) -> ModelFilePayload:
     G = _checked(path, line_no, _floats(text), periods * periods, "g").reshape(
         periods, periods
     )
-    # rows come from the file's entries, so a scenario_count larger than the
-    # file stops at the first missing key instead of allocating up front
-    rows: dict[str, list[np.ndarray]] = {"lambda": [], "omega": []}
-    for j in range(count):
-        for kind, out in rows.items():
-            key = f"scenario.{j}.{kind}"
-            if key not in scenario_rows:
-                raise ModelFileError(
-                    path, entries["scenario_count"][0],
-                    f"scenario_count is {count} but {key!r} is missing",
-                )
-            line_no, floats = scenario_rows[key]
-            out.append(_checked(path, line_no, floats, periods, key))
-    lams, omegas = np.array(rows["lambda"]), np.array(rows["omega"])
+    if scenarios is None:
+        # rows come from the file's entries, so a scenario_count larger than
+        # the file stops at the first missing key instead of allocating up front
+        rows: dict[str, list[np.ndarray]] = {"lambda": [], "omega": []}
+        for j in range(count):
+            for kind, out in rows.items():
+                key = f"scenario.{j}.{kind}"
+                if key not in scenario_rows:
+                    raise ModelFileError(
+                        path, entries["scenario_count"][0],
+                        f"scenario_count is {count} but {key!r} is missing",
+                    )
+                line_no, floats = scenario_rows[key]
+                out.append(_checked(path, line_no, floats, periods, key))
+        scenarios = np.array(rows["lambda"]), np.array(rows["omega"])
+    lams, omegas = scenarios
 
     # stored moments are derived; verify them against the scenarios so silent
     # file edits are caught at load time

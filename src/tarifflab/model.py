@@ -11,6 +11,7 @@ tariff, where the unknown benefit offset cancels exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -250,6 +251,8 @@ class LinearDemandModel(DemandModel):
             raise ValueError("G must be positive definite")
         if self.customers < 0:
             raise ValueError("customer count must be nonnegative")
+        if self.customers > sys.float_info.max:  # M * A must be a float
+            raise ValueError(f"customer count must be at most {sys.float_info.max!r}")
         object.__setattr__(self, "G", G)
         satiation = _readonly(np.linalg.solve(G, self.scenarios.omega_bar))
         if not np.isfinite(satiation).all():

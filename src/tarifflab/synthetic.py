@@ -134,6 +134,9 @@ def main(argv=None) -> int:
     parser.add_argument("--periods", type=int, default=DEFAULT_PERIODS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args(argv)
+    for name in ("days", "periods"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be at least 1, got {getattr(args, name)}")
     load_path, prices_path = write_synthetic_csvs(
         args.out_dir, args.days, args.periods, args.seed
     )

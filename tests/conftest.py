@@ -5,6 +5,8 @@ so prices and demand states are perfectly correlated, with the same first
 moments as I2 and tr cov = 1 under the population convention.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,16 @@ def random_linear_model(
     omegas = (G @ lams.mean(axis=0)) * (2.0 + rng.random((scenarios, periods)))
     return tl.LinearDemandModel(G=G, scenarios=tl.ScenarioSet(lams, omegas),
                                 customers=customers)
+
+
+def model_payload_text(path) -> str:
+    """The payload portion of a model file (everything above provenance)."""
+    keep = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.startswith("provenance."):
+            break
+        keep.append(line)
+    return "\n".join(keep) + "\n"
 
 
 class StochasticSlopeDemand(tl.DemandModel):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tarifflab as tl
+from conftest import model_payload_text
 from tarifflab.cli import front_csv, main
 from tarifflab.solvers import rs_tolerance
 from tarifflab.pareto import FAMILIES
@@ -70,8 +71,6 @@ class TestFit:
             assert code == 0
         text = capsys.readouterr().out
         assert "realized elasticity" in text
-        from tarifflab.ingest import model_payload_text
-
         assert model_payload_text(out1) == model_payload_text(out2)
         # full files differ only in the provenance timestamp
         payload = tl.read_model_file(out1)
@@ -787,6 +786,20 @@ class TestTopLevel:
     def test_missing_model_file(self, tmp_path, capsys):
         assert main(["check", "--model", str(tmp_path / "nope.tlm")]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--days", "0"), ("--periods", "0"), ("--days", "-3"),
+    ])
+    def test_synthetic_refuses_sizes_below_one(self, tmp_path, capsys, flag, value):
+        from tarifflab import synthetic
+
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as caught:
+            synthetic.main(["--out-dir", str(out), flag, value])
+        assert caught.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: {flag} must be at least 1, got {value}\n")
+        assert not out.exists()
+
 
 def _edit_g(path: Path, g: str) -> None:
     text = path.read_text()
@@ -831,6 +844,24 @@ class TestModelFileErrors:
         )
         if command != "check":
             assert captured.out == ""
+
+    def test_customer_count_beyond_a_float_is_named(self, tmp_path, tiny_csvs, capsys):
+        huge = "1" + "0" * 400
+        load, prices = tiny_csvs
+        model = tmp_path / "m.tlm"
+        message = "customer count must be at most 1.7976931348623157e+308"
+        assert main(["fit", "--load", str(load), "--prices", str(prices),
+                     "--customers", huge, "--out", str(model)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists()
+        assert main(["fit", "--load", str(load), "--prices", str(prices),
+                     "--out", str(model)]) == 0
+        text = model.read_text()
+        model.write_text(text.replace("customers = 2200000\n", f"customers = {huge}\n"))
+        for command, flags in MODEL_COMMANDS.items():
+            capsys.readouterr()
+            assert main([command, "--model", str(model), *flags]) == 2, command
+            assert capsys.readouterr().err == f"error: {model}: {message}\n", command
 
     @pytest.fixture
     def no_baseline_file(self, tmp_path, i2_model):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tarifflab as tl
-from conftest import random_linear_model
+from conftest import model_payload_text, random_linear_model
 from tarifflab import _forkjoin, cli, ingest, synthetic
 from tarifflab._forkjoin import BLOCK, Forked
 from tarifflab.cli import main
@@ -180,7 +180,7 @@ def _fit(load, prices, out: Path) -> tuple[int, str, str, str | None]:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(["fit", "--load", str(load), "--prices", str(prices),
                      "--out", str(out)])
-    payload = ingest.model_payload_text(out) if out.exists() else None
+    payload = model_payload_text(out) if out.exists() else None
     return code, stdout.getvalue().replace(str(out), "<out>"), stderr.getvalue(), payload
 
 

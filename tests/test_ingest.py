@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 import reference_model_reader
 import tarifflab as tl
-from conftest import random_linear_model
+from conftest import model_payload_text, random_linear_model
 from tarifflab.ingest import (
     _fmt_vector,
     _parse_dense,
     _parse_rows,
     fit_provenance,
     memo_path,
-    model_payload_text,
     toeplitz_kernel,
 )
 from tarifflab.synthetic import write_synthetic_csvs

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_model_reader
 import tarifflab as tl
+from conftest import random_linear_model
 from tarifflab import ingest
 from tarifflab.cli import main
 from tarifflab.synthetic import write_synthetic_csvs
@@ -109,14 +110,13 @@ def test_memo_read_equals_text_parse(
     text, error = _outcome(ingest._parse_model_text, path)
     digest = ingest.file_digest(path)
     memo = ingest._read_memo(path, digest)
-    # the writer leaves a memo exactly when the reader accepts its text
-    assert (memo is None) == (text is None)
+    # every file the writer leaves reads back, from its memo as from its text
+    assert memo is not None and error is None
     got, got_error = _outcome(tl.read_model_file, path)
-    assert got_error == error
-    if text is not None:
-        assert_same_payload(memo, text)
-        assert_same_payload(got, text)
-        assert got.digest == digest
+    assert got_error is None
+    assert_same_payload(memo, text)
+    assert_same_payload(got, text)
+    assert got.digest == digest
 
 
 def test_hit_skips_the_text(tmp_path, monkeypatch):
@@ -158,10 +158,11 @@ def test_provenance_the_reader_splits_its_own_way(tmp_path, provenance):
 def test_no_memo_for_a_file_the_reader_refuses(tmp_path):
     model, _ = _fitted(tmp_path, 3, 2, 3)
     path = tmp_path / "model.tlm"
-    tl.write_model_file(path, dataclasses.replace(model, customers=0))
+    # the writer refuses it, by the reader's own error, before opening the file
+    with pytest.raises(ValueError, match=":3: customers must be >= 1"):
+        tl.write_model_file(path, dataclasses.replace(model, customers=0))
+    assert not path.exists()
     assert not ingest.memo_path(path).exists()
-    with pytest.raises(tl.ModelFileError, match="customers must be >= 1"):
-        tl.read_model_file(path)
 
 
 # --- writes that are refused, or whose memo cannot be written ---------------
@@ -188,6 +189,84 @@ def test_refused_writes_leave_the_pair(tmp_path):
         assert code == 2
     assert _pair(fresh) == (None, None)
     assert _pair(kept) == before
+
+
+def test_text_that_is_not_utf8_is_refused_before_the_file(tmp_path):
+    model, _ = _fitted(tmp_path, 3, 1, 2)
+    path = tmp_path / "model.tlm"
+    tl.write_model_file(path, model, provenance={"created": "t0"})
+    before = _pair(path)
+    with pytest.raises(UnicodeEncodeError):
+        tl.write_model_file(path, model, provenance={"note": "\udc80"})
+    assert _pair(path) == before
+
+
+# the types a caller's baseline value may have; each is written as its float
+BASELINE_TYPES = (float, np.float64, np.float32, int)
+
+
+@pytest.fixture(scope="module")
+def bare_model_file(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("bare") / "bare.tlm"
+    tl.write_model_file(path, random_linear_model(0, 2, 3))
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    periods=st.integers(1, 4),
+    scenarios=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    customers=st.sampled_from([0, 1, 7, 2_200_000]),
+    baseline=st.none() | st.tuples(
+        st.sampled_from(BASELINE_TYPES), st.floats(1.0, 5.0), st.floats(0.0, 100.0)),
+    provenance=st.dictionaries(ONE_LINE, ONE_LINE, max_size=3),
+    scale=st.sampled_from([1.0, 1e160]),  # at 1e160 sigma overflows
+)
+def test_the_writer_writes_only_what_reads_back(
+    tmp_path_factory, bare_model_file, periods, scenarios, seed, customers, baseline,
+    provenance, scale,
+):
+    out = tmp_path_factory.mktemp("writes")
+    base = random_linear_model(seed, periods, scenarios)
+    with np.errstate(over="ignore"):
+        model = tl.LinearDemandModel(
+            G=base.G,
+            scenarios=tl.ScenarioSet(base.scenarios.lams * scale,
+                                     base.scenarios.omegas * scale),
+            customers=customers,
+        )
+        overflows = not np.isfinite(model.scenarios.sigma_lambda_omega).all()
+    if baseline is not None:
+        kind, rate, charge = baseline
+        baseline = tl.CalibrationConfig(flat_rate=kind(rate),
+                                        connection_charge=kind(charge))
+    refused = customers < 1 or overflows or not _reads_back(bare_model_file, provenance)
+    fresh, kept = out / "fresh.tlm", out / "kept.tlm"
+    tl.write_model_file(kept, base, provenance={"created": "t0"})
+    before = _pair(kept)
+    for path in (fresh, kept):
+        with np.errstate(over="ignore"), (
+            pytest.raises(ValueError) if refused else contextlib.nullcontext()
+        ):
+            tl.write_model_file(path, model, baseline=baseline, provenance=provenance)
+    if refused:
+        assert _pair(fresh) == (None, None)
+        assert _pair(kept) == before
+        return
+    rates = (None, None) if baseline is None else (
+        float(baseline.flat_rate), float(baseline.connection_charge))
+    for path in (fresh, kept):
+        read = reference_model_reader.read_model_file(path)
+        for got, want in ((read.G, model.G), (read.lams, model.scenarios.lams),
+                          (read.omegas, model.scenarios.omegas)):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert (read.baseline_flat_rate, read.baseline_connection_charge) == rates
+        assert read.customers == customers
+        assert read.provenance == {f"{k}": f"{v}" for k, v in provenance.items()}
+        memo = ingest._read_memo(path, ingest.file_digest(path))
+        assert memo is not None
+        assert_same_payload(memo, ingest._parse_model_text(path))
 
 
 def _strip_created(text: str) -> str:
