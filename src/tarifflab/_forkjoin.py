@@ -1,15 +1,15 @@
 """Fork-join on two cores: one share of a job done in a forked child.
 
-`Forked(make)` forks on entry. The child runs `make()`, writes the bytes it
-returns to a pipe and ends in `os._exit`, so it flushes no buffer and runs
-no exit handler. The parent does its own share, then reads the child's bytes
-with `blocks()`; after them, `complete` says whether the child ended cleanly,
-that is whether the bytes are all there. Leaving the block kills and reaps a
-child still running. Where `os.fork` is missing, other threads run (a fork
-could deadlock the child) or the fork fails, no child is made: `blocks()`
-yields nothing and the caller does the child's share itself, as it does
-after any failure of the child. Stdlib only: importing it loads no other
-module of the package, so `python -m tarifflab.synthetic` stays light.
+`Forked(make)` forks on entry. `make()` returns the share as an iterable of
+bytes, computed only from what the parent holds at the fork, so every call
+gives the same bytes. The child writes them to a pipe and ends in
+`os._exit`, flushing no buffer and running no exit handler. The parent does
+its own share, then takes the child's with `blocks()`, which goes on with
+the rest of `make()`, run here, if the child did not end cleanly or none was
+made: where `os.fork` is missing, other threads run (a fork could deadlock
+the child) or the fork fails. Leaving the block kills and reaps a child
+still running. Stdlib only: importing it loads no other module of the
+package, so `python -m tarifflab.synthetic` stays light.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class Forked:
     def __init__(self, make):
         self._make = make
         self._pid = self._fd = None
-        self.complete = False
 
     def __enter__(self) -> Forked:
         threading = sys.modules.get("threading")
@@ -39,7 +38,7 @@ class Forked:
             code = 1
             try:
                 os.close(read)
-                data = memoryview(self._make())
+                data = memoryview(b"".join(self._make()))
                 while data:
                     data = data[os.write(write, data):]
                 code = 0
@@ -53,17 +52,23 @@ class Forked:
         return self
 
     def blocks(self):
-        """The child's bytes, up to `BLOCK` at a time; then the child is reaped."""
-        if self._pid is None:
-            return
-        while block := os.read(self._fd, BLOCK):
-            yield block
-        pid, self._pid = self._pid, None
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # reaped elsewhere: its end is unknown
-            return
-        self.complete = os.waitstatus_to_exitcode(status) == 0
+        """The share: the child's bytes, up to `BLOCK` at a time, then the
+        bytes of `make()` after them if the child did not end cleanly."""
+        size = 0
+        if self._pid is not None:
+            while block := os.read(self._fd, BLOCK):
+                size += len(block)
+                yield block
+            pid, self._pid = self._pid, None
+            try:
+                if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0:
+                    return
+            except ChildProcessError:  # reaped elsewhere: its end is unknown
+                pass
+        for chunk in self._make():
+            if size < len(chunk):
+                yield chunk[size:]
+            size = max(0, size - len(chunk))
 
     def __exit__(self, *exc) -> None:
         if self._pid is not None:

@@ -185,19 +185,19 @@ def _parse_csv_with_context(path, kind: str) -> RawSeries:
 def _parse_inputs(args) -> tuple[RawSeries, RawSeries]:
     """The load and price series of `fit`.
 
-    A forked child (`Forked`) parses a clean prices file while this process
-    parses the load file. A prices file the child does not return, unclean
-    or failed or killed, is parsed here after the load file, so errors come
-    in the same order and with the same text as from two serial parses.
+    The prices bytes are read first; a forked child (`Forked`) parses them
+    if they are clean while this process parses the load file. A prices
+    file that is not clean, or cannot be read, is parsed here after the load
+    file, so errors come in the same order and with the same text as from
+    two serial parses.
     """
-
-    def parse_prices() -> bytes:
-        return pickle.dumps(_parse_dense(Path(args.prices).read_bytes(), "price"))
-
-    with Forked(parse_prices) as child:
+    try:
+        data = Path(args.prices).read_bytes()
+    except OSError:
+        data = b""  # not clean: `parse_csv` reports the error
+    with Forked(lambda: [pickle.dumps(_parse_dense(data, "price"))]) as child:
         load = _parse_csv_with_context(args.load, "load")
-        data = b"".join(child.blocks())
-    prices = pickle.loads(data) if child.complete else None
+        prices = pickle.loads(b"".join(child.blocks()))
     if prices is None:
         prices = _parse_csv_with_context(args.prices, "price")
     return load, _scaled_prices(prices, args.price_unit)

@@ -18,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -466,14 +467,6 @@ def _encoded(lines):
         yield f"{line}\n".encode("utf-8")
 
 
-def _skipped(chunks, size: int):
-    """The bytes of `chunks` after their first `size`."""
-    for chunk in chunks:
-        if size < len(chunk):
-            yield chunk[size:]
-        size = max(0, size - len(chunk))
-
-
 def _written_payload(path: Path, model, head: list[str], tail: list[str], provenance):
     """The payload the reader parses from the lines `head`, the model's
     scenario lines and `tail`; ValueError if it would refuse them, naming
@@ -490,7 +483,7 @@ def _written_payload(path: Path, model, head: list[str], tail: list[str], proven
             numbered.append((line_no, part))
             entry_on[line_no] = entry
     try:
-        payload = _payload(path, numbered, (ss.lams, ss.omegas))
+        payload = _payload(path, numbered, ss)
     except ModelFileError as exc:
         entry = entry_on.get(exc.line)
         if entry is None:
@@ -521,42 +514,29 @@ def write_model_file(
 
     The lines around the scenario rows are formatted once and read back by
     the reader's rules (`_written_payload`): a file it would refuse raises
-    ValueError before the file is opened, leaving no file and truncating no
-    old one. A forked child (`Forked`) formats the second half of the
-    scenario lines meanwhile; whatever it does not deliver is formatted
-    here. The payload read back is the memo, stored under the digest of the
-    bytes written (`_write_memo`).
+    ValueError before a child is forked or the file is opened, leaving no
+    file and truncating no old one. A forked child (`Forked`) formats the
+    second half of the scenario lines while this process writes the lines
+    before them. The payload read back is the memo, stored under the digest
+    of the bytes written (`_write_memo`).
     """
     provenance = provenance or {}
     path = Path(path)
     ss = model.scenarios
     second = range(ss.n_scenarios // 2, ss.n_scenarios)
+    head = [*_head_lines(model)]
+    tail = [*_tail_lines(baseline, provenance)]
+    payload = _written_payload(path, model, head, tail, provenance)
+    ending = b"".join(_encoded(tail))  # text that is not UTF-8 is refused here
     digest = hashlib.sha256()
-
-    def child_share() -> bytes:
-        return b"".join(_encoded(_scenario_lines(ss, second)))
-
-    with Forked(child_share) as child:
-        head = [*_head_lines(model)]
-        tail = [*_tail_lines(baseline, provenance)]
-        payload = _written_payload(path, model, head, tail, provenance)
-        ending = b"".join(_encoded(tail))  # text that is not UTF-8 is refused here
-        with path.open("wb") as fh:
-
-            def put(chunks) -> int:
-                size = 0
-                for data in chunks:
-                    digest.update(data)
-                    fh.write(data)
-                    size += len(data)
-                return size
-
-            put(_encoded(head))
-            put(_encoded(_scenario_lines(ss, range(second.start))))
-            done = put(child.blocks())
-            if not child.complete:
-                put(_skipped(_encoded(_scenario_lines(ss, second)), done))
-            put([ending])
+    with (
+        Forked(lambda: _encoded(_scenario_lines(ss, second))) as child,
+        path.open("wb") as fh,
+    ):
+        first = _encoded(chain(head, _scenario_lines(ss, range(second.start))))
+        for data in chain(first, child.blocks(), [ending]):
+            digest.update(data)
+            fh.write(data)
     _write_memo(path, dataclasses.replace(payload, digest="sha256:" + digest.hexdigest()))
 
 
@@ -708,8 +688,8 @@ def _payload(path, numbered_lines, scenarios=None) -> ModelFilePayload:
     Scenario rows are converted to floats as they are read and judged once
     the header keys are known. A byte that is not UTF-8 is reported before
     any other error, so a line error is held until every line is read.
-    `scenarios`, the (lams, omegas) arrays of a J x N `ScenarioSet`, stands
-    in for the scenario lines: its rows are finite and of N values already.
+    `scenarios`, a J x N `ScenarioSet`, stands in for the scenario lines: its
+    rows are finite and of N values already, and its moments are computed.
     """
     entries: dict[str, tuple[int, str]] = {}
     scenario_rows: dict[str, tuple[int, tuple[int, np.ndarray | None]]] = {}
@@ -768,7 +748,10 @@ def _payload(path, numbered_lines, scenarios=None) -> ModelFilePayload:
     G = _checked(path, line_no, _floats(text), periods * periods, "g").reshape(
         periods, periods
     )
-    if scenarios is None:
+    if scenarios is not None:
+        lams, omegas = scenarios.lams, scenarios.omegas
+        moments = scenarios.lambda_bar, scenarios.omega_bar, scenarios.sigma_lambda_omega
+    else:
         # rows come from the file's entries, so a scenario_count larger than
         # the file stops at the first missing key instead of allocating up front
         rows: dict[str, list[np.ndarray]] = {"lambda": [], "omega": []}
@@ -782,13 +765,13 @@ def _payload(path, numbered_lines, scenarios=None) -> ModelFilePayload:
                     )
                 line_no, floats = scenario_rows[key]
                 out.append(_checked(path, line_no, floats, periods, key))
-        scenarios = np.array(rows["lambda"]), np.array(rows["omega"])
-    lams, omegas = scenarios
+        lams, omegas = np.array(rows["lambda"]), np.array(rows["omega"])
+        moments = scenario_moments(lams, omegas)
 
     # stored moments are derived; verify them against the scenarios so silent
     # file edits are caught at load time
     keys = ("lambda_bar", "omega_bar", "sigma_lambda_omega")
-    for key, expected in zip(keys, scenario_moments(lams, omegas)):
+    for key, expected in zip(keys, moments):
         line_no, text = need(key)
         stored = _checked(path, line_no, _floats(text), expected.size, key)
         scale = max(1.0, float(np.abs(expected).max()))

@@ -498,7 +498,7 @@ def elasticity_matrix(model: DemandModel, pi) -> np.ndarray:
     if (dbar <= demand_floor).any():
         k = int(np.argmax(dbar <= demand_floor))
         raise ZeroExpectedDemand(
-            f"expected demand in period {k} is {dbar[k]!r} <= {demand_floor!r}"
+            f"expected demand in period {k} is {float(dbar[k])!r} <= {demand_floor!r}"
         )
     jac = model.mean_jacobian(pi)
     return _readonly(jac * pi[np.newaxis, :] / dbar[:, np.newaxis])

@@ -14,6 +14,7 @@ Regenerate with `python -m tarifflab.synthetic --out-dir <dir>`.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,17 +102,15 @@ def write_synthetic_csvs(
     seed: int = DEFAULT_SEED,
 ) -> tuple[Path, Path]:
     """Write the load and price CSVs; a forked child (`Forked`) formats the
-    prices while this process formats and writes the load, and this process
-    formats them itself if the child does not deliver them."""
+    prices while this process formats and writes the load."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     load, prices = synthetic_series(days, periods, seed)
     load_path = out_dir / LOAD_FILENAME
     prices_path = out_dir / PRICES_FILENAME
-    with Forked(lambda: _series_bytes(prices)) as child:
+    with Forked(lambda: [_series_bytes(prices)]) as child:
         load_path.write_bytes(_series_bytes(load))
-        text = b"".join(child.blocks())
-    prices_path.write_bytes(text if child.complete else _series_bytes(prices))
+        prices_path.write_bytes(b"".join(child.blocks()))
     return load_path, prices_path
 
 
@@ -134,12 +133,16 @@ def main(argv=None) -> int:
     parser.add_argument("--periods", type=int, default=DEFAULT_PERIODS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args(argv)
-    for name in ("days", "periods"):
-        if getattr(args, name) < 1:
-            parser.error(f"--{name} must be at least 1, got {getattr(args, name)}")
-    load_path, prices_path = write_synthetic_csvs(
-        args.out_dir, args.days, args.periods, args.seed
-    )
+    for name, least in (("days", 1), ("periods", 1), ("seed", 0)):
+        if getattr(args, name) < least:
+            parser.error(f"--{name} must be at least {least}, got {getattr(args, name)}")
+    try:
+        load_path, prices_path = write_synthetic_csvs(
+            args.out_dir, args.days, args.periods, args.seed
+        )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {load_path}")
     print(f"wrote {prices_path}")
     return 0

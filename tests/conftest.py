@@ -5,6 +5,7 @@ so prices and demand states are perfectly correlated, with the same first
 moments as I2 and tr cov = 1 under the population convention.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps each process it starts (a forked child included)."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

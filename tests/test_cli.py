@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +166,21 @@ class TestFit:
         ])
         assert code == 2
         assert "satiation price G^-1 omega_bar must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_demand_error_prints_a_plain_float(self, tmp_path, tiny_csvs, capsys):
+        # G scales with the elasticity: at -1e300 no demand is left at the
+        # flat rate, and the error prints it as a float, not numpy's repr
+        load, prices = tiny_csvs
+        out = tmp_path / "m.tlm"
+        code = main([
+            "fit", "--load", str(load), "--prices", str(prices),
+            "--elasticity=-1e300", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        shown = re.fullmatch(r"error: expected demand in period 0 is (\S+) <= 1e-09\n", err)
+        assert shown and float(shown[1]) <= 1e-9
         assert not out.exists()
 
     def test_parse_error_reports_location(self, tmp_path, tiny_csvs, capsys):
@@ -799,6 +815,26 @@ class TestTopLevel:
         assert capsys.readouterr().err.endswith(
             f"error: {flag} must be at least 1, got {value}\n")
         assert not out.exists()
+
+    def test_synthetic_refuses_a_negative_seed(self, tmp_path, capsys):
+        from tarifflab import synthetic
+
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as caught:
+            synthetic.main(["--out-dir", str(out), "--seed", "-1"])
+        assert caught.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: --seed must be at least 0, got -1\n")
+        assert not out.exists()
+
+    def test_synthetic_out_dir_naming_a_file(self, tmp_path, capsys):
+        from tarifflab import synthetic
+
+        out = tmp_path / "data"
+        out.write_bytes(b"kept")
+        assert synthetic.main(["--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{out}'\n")
+        assert out.read_bytes() == b"kept"
 
 
 def _edit_g(path: Path, g: str) -> None:

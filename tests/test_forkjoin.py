@@ -8,6 +8,7 @@ it delivers. No command leaves a child behind.
 import contextlib
 import io
 import os
+import random
 import signal
 import threading
 import time
@@ -93,76 +94,109 @@ MODES = {
 
 # --- the helper -------------------------------------------------------------
 
+SHARE = [b"head ", bytes(range(256)) * (3 * BLOCK // 256), b"", b"tail"]
 
-def test_child_bytes_come_back_in_blocks():
+
+def _joined(make, capfd) -> tuple[bytes, int]:
+    """The joined `blocks()` of `Forked(make)` and how often `make` ran in
+    this process; stderr stays silent, no child is left and `make` runs here
+    at most once."""
+    parent, calls = os.getpid(), []
+
+    def counted():
+        if os.getpid() == parent:
+            calls.append(1)
+        return make()
+
+    with Forked(counted) as child:
+        share = b"".join(child.blocks())
+    assert capfd.readouterr().err == ""
+    assert_no_child()
+    assert len(calls) <= 1
+    return share, len(calls)
+
+
+def test_child_bytes_come_back_in_blocks(capfd):
     data = bytes(range(256)) * (3 * BLOCK // 256) + b"tail"
-    with Forked(lambda: data) as child:
+    with Forked(lambda: [data]) as child:
         blocks = list(child.blocks())
-    assert child.complete
     assert b"".join(blocks) == data
     assert max(map(len, blocks)) <= BLOCK
-    assert_no_child()
+    assert _joined(lambda: SHARE, capfd) == (b"".join(SHARE), 0)
 
 
-@pytest.mark.parametrize("make", [_fail, _kill_self, lambda: os._exit(3)])
-def test_a_failed_child_is_incomplete_and_silent(make, capfd):
-    with Forked(make) as child:
-        assert list(child.blocks()) == []
-    assert not child.complete
-    assert capfd.readouterr() == ("", "")
-    assert_no_child()
+@pytest.mark.parametrize("action", [_fail, _kill_self, lambda: os._exit(3)])
+def test_a_failed_child_is_silent_and_its_share_made_here(action, capfd):
+    make = _in_child(action, lambda: SHARE)
+    assert _joined(make, capfd) == (b"".join(SHARE), 1)
 
 
-def test_leaving_early_kills_and_reaps_the_child():
+def test_leaving_early_kills_and_reaps_the_child(capfd):
     start = time.perf_counter()
     with pytest.raises(KeyError):
-        with Forked(lambda: time.sleep(60) or b"late"):
+        with Forked(_in_child(lambda: time.sleep(60), lambda: [b"late"])):
             raise KeyError("the parent's share fails")
     assert time.perf_counter() - start < 30
+    assert capfd.readouterr().err == ""
     assert_no_child()
 
 
-def test_the_child_flushes_nothing(tmp_path):
+def test_the_child_flushes_nothing(tmp_path, capfd):
     with (tmp_path / "out").open("wb") as fh:
         fh.write(b"written once")
-        with Forked(lambda: b"") as child:
-            list(child.blocks())
-        assert child.complete
+        assert _joined(lambda: [b""], capfd) == (b"", 0)
     assert (tmp_path / "out").read_bytes() == b"written once"
 
 
-def test_no_child_without_fork(monkeypatch):
+def test_no_child_without_fork(monkeypatch, capfd):
     monkeypatch.setattr(_forkjoin, "os", _NoFork())
-    with Forked(lambda: b"never") as child:
-        assert list(child.blocks()) == []
-    assert not child.complete
+    assert _joined(lambda: SHARE, capfd) == (b"".join(SHARE), 1)
 
 
-def test_no_child_while_other_threads_run():
+def test_no_child_while_other_threads_run(capfd):
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        with Forked(lambda: b"never") as child:
-            assert list(child.blocks()) == []
-        assert not child.complete
+        assert _joined(lambda: SHARE, capfd) == (b"".join(SHARE), 1)
     finally:
         stop.set()
         thread.join()
-    assert_no_child()
 
 
-def test_a_failed_fork_falls_back(monkeypatch):
-    def fork():
-        raise BlockingIOError("no process left")
+def _failed_fork():
+    raise BlockingIOError("no process left")
 
-    monkeypatch.setattr(_forkjoin, "os", _Os(fork=fork))
+
+def test_a_failed_fork_falls_back(monkeypatch, capfd):
+    monkeypatch.setattr(_forkjoin, "os", _Os(fork=_failed_fork))
     before = len(os.listdir("/proc/self/fd")) if Path("/proc/self/fd").is_dir() else None
-    with Forked(lambda: b"never") as child:
-        assert list(child.blocks()) == []
-    assert not child.complete
+    assert _joined(lambda: SHARE, capfd) == (b"".join(SHARE), 1)
     if before is not None:  # the pipe is closed again
         assert len(os.listdir("/proc/self/fd")) == before
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 3 * BLOCK), min_size=1, max_size=5),
+    seed=st.integers(0, 2**16),
+    end=st.sampled_from(["no-fork", "failed-fork", "dies"]),
+    data=st.data(),
+)
+def test_the_share_is_whole_however_the_child_ends(sizes, seed, end, data):
+    rng = random.Random(seed)
+    share = [rng.randbytes(size) for size in sizes]
+    if end == "no-fork":
+        changed = _NoFork()
+    elif end == "failed-fork":
+        changed = _Os(fork=_failed_fork)
+    else:  # the child dies after k of the share's bytes
+        changed = _dies_after(data.draw(st.integers(0, sum(sizes)), label="k"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_forkjoin, "os", changed)
+        with Forked(lambda: share) as child:
+            assert b"".join(child.blocks()) == b"".join(share)
+    assert_no_child()
 
 
 # --- fit ---------------------------------------------------------------------
@@ -280,7 +314,8 @@ def test_model_file_resumes_where_the_child_stopped(tmp_path, size):
     assert (tmp_path / "got.tlm").read_bytes() == want[0]
 
 
-def test_each_user_forks_once(tmp_path, csvs, monkeypatch):
+def _forks(monkeypatch) -> list[int]:
+    """The pids that fork through `_forkjoin` from now on, in order."""
     forks = []
 
     def fork():
@@ -288,6 +323,20 @@ def test_each_user_forks_once(tmp_path, csvs, monkeypatch):
         return os.fork()
 
     monkeypatch.setattr(_forkjoin, "os", _Os(fork=fork))
+    return forks
+
+
+def test_a_refused_write_forks_no_child(tmp_path, monkeypatch):
+    forks = _forks(monkeypatch)
+    with pytest.raises(ValueError, match="provenance values must be single-line"):
+        tl.write_model_file(tmp_path / "m.tlm", random_linear_model(1, 3, 40),
+                            provenance={"created": "t0\nt1"})
+    assert forks == []
+    assert not (tmp_path / "m.tlm").exists()
+
+
+def test_each_user_forks_once(tmp_path, csvs, monkeypatch):
+    forks = _forks(monkeypatch)
     write_synthetic_csvs(tmp_path, 4, 2, 1)
     assert _fit(*csvs, tmp_path / "m.tlm")[0] == 0
     # synthetic, fit's parse, fit's model file; only this process forked
