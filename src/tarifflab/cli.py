@@ -209,16 +209,13 @@ def cmd_fit(args) -> int:
         scenarios = estimate_moments(load, prices)
     except NegativePrice as exc:
         raise ValueError(f"{args.prices}: {exc}") from exc
-    config = CalibrationConfig(
-        flat_rate=args.flat_rate,
-        elasticity_target=args.elasticity,
-        alpha=args.alpha,
-        customers=args.customers,
-        connection_charge=args.connection_charge,
-    )
+    fields = dataclasses.fields(CalibrationConfig)
+    config = CalibrationConfig(**{f.name: getattr(args, f.name) for f in fields})
     model = calibrate_demand(scenarios, config)
     checked_baseline(model, baseline_tariff(model, config))
-    provenance = fit_provenance(args.load, args.prices, config, created=_now())
+    provenance = fit_provenance(
+        args.load, args.prices, config, created=_now(), price_unit=args.price_unit
+    )
     write_model_file(args.out, model, baseline=config, provenance=provenance)
 
     eigs = np.linalg.eigvalsh(model.G)
@@ -371,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = CalibrationConfig()
     fit.add_argument("--flat-rate", type=float, default=defaults.flat_rate,
                      help="baseline flat rate pi_CE, $/kWh")
-    fit.add_argument("--elasticity", type=float,
-                     default=defaults.elasticity_target,
+    fit.add_argument("--elasticity", type=float, dest="elasticity_target",
+                     metavar="ELASTICITY", default=defaults.elasticity_target,
                      help="target aggregate own-price elasticity at the flat rate")
     fit.add_argument("--alpha", type=float, default=defaults.alpha,
                      help="geometric decay of the substitution kernel, in [0,1)")

@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import chain
@@ -66,6 +67,16 @@ class CalibrationConfig:
     connection_charge: float = 0.52
 
     def __post_init__(self):
+        # plain floats and an int, so a numpy scalar neither computes the
+        # kernel scale in its own precision nor writes its repr as provenance
+        for name in ("flat_rate", "elasticity_target", "alpha", "connection_charge"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not isinstance(self.customers, numbers.Integral):
+            raise ValueError(f"customers must be an integer, got {self.customers!r}")
+        object.__setattr__(self, "customers", int(self.customers))
         for name in ("flat_rate", "elasticity_target", "connection_charge"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -805,18 +816,17 @@ def file_digest(path) -> str:
 
 
 def fit_provenance(
-    load_path, prices_path, config: CalibrationConfig, created: str
+    load_path, prices_path, config: CalibrationConfig, created: str,
+    price_unit: str = "kwh",
 ) -> dict[str, str]:
+    """`fit`'s record: input digests, each calibration field, the price unit."""
     return {
         "command": "fit",
         "tool_version": __version__,
         "load_digest": file_digest(load_path),
         "prices_digest": file_digest(prices_path),
-        "flat_rate": repr(config.flat_rate),
-        "elasticity_target": repr(config.elasticity_target),
-        "alpha": repr(config.alpha),
-        "customers": str(config.customers),
-        "connection_charge": repr(config.connection_charge),
+        **{f.name: repr(getattr(config, f.name)) for f in dataclasses.fields(config)},
         "sigma_note": "stored sigma is population (1/J); estimation reports 1/(J-1)",
+        "price_unit": price_unit,
         "created": created,
     }

@@ -122,13 +122,14 @@ def _require_finite(target: float) -> None:
         raise ValueError(f"revenue target must be finite, got {target!r}")
 
 
-def _band_checked(achieved: float, target: float) -> float:
-    """`achieved`, the margin of a closed-form price, or NonConvergence if it
-    misses the rs band around `target`."""
+def _band_checked(model: LinearDemandModel, achieved: float, target: float) -> float:
+    """`achieved`, the margin of a closed-form price on `model`, or
+    NonConvergence if it misses the rs band around `target`. The error gives
+    cond(G): rounding moves a closed-form price by about eps * cond(G)."""
     if abs(achieved - target) > rs_tolerance(target):
         raise NonConvergence(
             f"closed form missed the revenue band at rs {achieved!r} "
-            f"for target {target!r}"
+            f"for target {target!r} (cond(G) {np.linalg.cond(model.G):.2g})"
         )
     return achieved
 
@@ -372,7 +373,8 @@ def _ramsey_solve(model: DemandModel, F: float) -> tuple[float, np.ndarray, floa
         s = 0.5 if F >= phi_max else _low_root(model, pistar, d, u)
         pi = pistar + s * d
         # at s = 0, pi is pi* bit for bit, and the range holds its margin
-        return s, pi, _band_checked(phi_star if s == 0.0 else phi_bar(model, pi), F)
+        achieved = phi_star if s == 0.0 else phi_bar(model, pi)
+        return s, pi, _band_checked(model, achieved, F)
 
     def price_at(s: float, start: np.ndarray) -> np.ndarray:
         rho = s / (1.0 - s) if s < 0.5 else 1.0
@@ -456,7 +458,7 @@ def _flat_low_root(model: DemandModel, target: float) -> float:
         raise InfeasibleTarget(target, (-math.inf, phi_max))
     if base is not None:
         rate = base[0] + _low_root(model, base, np.ones(model.periods), target - phi_base)
-        _band_checked(_flat_phi(model, rate), target)
+        _band_checked(model, _flat_phi(model, rate), target)
         return rate
     lo = _flat_walk(model, rate_m, -1.0, target)
     return _bisect_target(

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, formats, determinism, manifests."""
 
+import dataclasses
 import json
 import os
 import re
@@ -84,12 +85,29 @@ class TestFit:
         args = build_parser().parse_args(
             ["fit", "--load", "l.csv", "--prices", "p.csv", "--out", "m.tlm"]
         )
-        config = tl.CalibrationConfig(
-            flat_rate=args.flat_rate, elasticity_target=args.elasticity,
-            alpha=args.alpha, customers=args.customers,
-            connection_charge=args.connection_charge,
-        )
-        assert config == tl.CalibrationConfig()
+        # each calibration field is a flag's dest, whose default is the field's
+        defaults = tl.CalibrationConfig()
+        for f in dataclasses.fields(tl.CalibrationConfig):
+            assert getattr(args, f.name) == getattr(defaults, f.name), f.name
+            assert type(getattr(args, f.name)) is type(getattr(defaults, f.name))
+
+    def test_provenance_records_the_price_unit(self, tmp_path, tiny_csvs):
+        # a $/MWh fit scales every price by 1e-3, so its record must say so
+        load, prices = tiny_csvs
+        payloads = {}
+        for unit, flags in (("kwh", []), ("mwh", ["--price-unit", "mwh"])):
+            out = tmp_path / f"{unit}.tlm"
+            assert main(["fit", "--load", str(load), "--prices", str(prices), *flags,
+                         "--out", str(out)]) == 0
+            payloads[unit] = tl.read_model_file(out)
+            provenance = payloads[unit].provenance
+            assert list(provenance)[-3:] == ["sigma_note", "price_unit", "created"]
+            assert provenance["price_unit"] == unit
+        kwh, mwh = payloads["kwh"], payloads["mwh"]
+        assert np.array_equal(mwh.lams, kwh.lams * 1e-3)
+        for key in ("price_unit", "created"):
+            del kwh.provenance[key], mwh.provenance[key]
+        assert kwh.provenance == mwh.provenance
 
     def test_zero_elasticity_refused(self, tmp_path, tiny_csvs):
         load, prices = tiny_csvs
@@ -281,7 +299,39 @@ class TestFit:
         np.testing.assert_allclose(lam_mwh, lam_kwh * 1e-3, rtol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def near_unit_alpha_model_file(tmp_path_factory):
+    """The bundled dataset fitted at alpha = 1 - 1e-10: cond(G) is about 4.8e11."""
+    from tarifflab.synthetic import bundled_dataset_paths
+
+    load, prices = bundled_dataset_paths()
+    out = tmp_path_factory.mktemp("near_unit_alpha") / "m.tlm"
+    assert main(["fit", "--load", str(load), "--prices", str(prices),
+                 "--alpha", "0.9999999999", "--out", str(out)]) == 0
+    return out
+
+
 class TestSolve:
+    @pytest.mark.parametrize("command", [
+        ["solve", "--family", "linear", "--target-rs", "baseline"],
+        ["solve", "--family", "flat-linear", "--target-rs", "baseline"],
+        ["solve", "--family", "fixed-a-two-part", "--target-rs", "baseline"],
+        ["solve", "--family", "adjusted-flat", "--target-rs", "baseline"],
+        ["pareto"],
+    ])
+    def test_band_miss_names_the_conditioning(
+        self, near_unit_alpha_model_file, capsys, command
+    ):
+        code = main([*command, "--model", str(near_unit_alpha_model_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: closed form missed the revenue band at rs \S+ for target \S+ "
+            r"\(cond\(G\) 4\.8e\+11\)\n",
+            captured.err,
+        )
+
     def test_two_part_output(self, i2_model_file, capsys):
         code = main([
             "solve", "--model", str(i2_model_file), "--family", "two-part",

@@ -1,5 +1,6 @@
 """CSV parsing, moment estimation, calibration, and model-file round trips."""
 
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -46,6 +47,29 @@ class TestParseCsv:
         assert series.days == 2
         assert series.periods == 2
         np.testing.assert_allclose(series.values, [[10.0, 8.0], [12.0, 6.0]])
+
+    def test_unknown_kind_refused(self, two_day_files):
+        load, _ = two_day_files
+        with pytest.raises(ValueError) as exc_info:
+            tl.parse_csv(load, "wind")
+        assert str(exc_info.value) == "kind must be one of ('load', 'price'), got 'wind'"
+
+    def test_fractional_day_named_with_its_line(self, tmp_path):
+        path = write_csv(tmp_path / "x.csv", ["0.5,0,1.0"])
+        with pytest.raises(tl.MalformedRow) as exc_info:
+            tl.parse_csv(path, "load")
+        assert exc_info.value.line == 2
+        assert str(exc_info.value) == (
+            "line 2: day/hour must be integers: ['0.5', '0', '1.0']"
+        )
+
+    def test_header_then_blank_line_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("day,hour,value\n\n")
+        with pytest.raises(tl.MalformedRow) as exc_info:
+            tl.parse_csv(path, "price")
+        assert exc_info.value.line == 2
+        assert str(exc_info.value) == "line 2: no data rows"
 
     def test_missing_hour(self, tmp_path):
         path = write_csv(
@@ -426,6 +450,35 @@ class TestCalibrateDemand:
         with pytest.raises(ValueError):
             tl.CalibrationConfig(customers=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("customers", 2.5, "customers must be an integer, got 2.5"),
+        ("customers", "5", "customers must be an integer, got '5'"),
+        ("flat_rate", "0.172", "flat_rate must be a real number, got '0.172'"),
+        ("alpha", None, "alpha must be a real number, got None"),
+    ])
+    def test_config_refuses_what_is_not_a_number(self, field, value, message):
+        with pytest.raises(ValueError) as exc_info:
+            tl.CalibrationConfig(**{field: value})
+        assert str(exc_info.value) == message
+
+    def test_float32_inputs_calibrate_in_float64(self):
+        # the same two values as Python floats give the same G, bit for bit
+        from tarifflab.synthetic import bundled_dataset_paths
+
+        load_path, prices_path = bundled_dataset_paths()
+        scenarios = tl.estimate_moments(
+            tl.parse_csv(load_path, "load"), tl.parse_csv(prices_path, "price")
+        )
+        rate, target = np.float32(0.172), np.float32(-0.3)
+        narrow = tl.calibrate_demand(
+            scenarios, tl.CalibrationConfig(flat_rate=rate, elasticity_target=target)
+        )
+        plain = tl.calibrate_demand(scenarios, tl.CalibrationConfig(
+            flat_rate=float(rate), elasticity_target=float(target)
+        ))
+        assert narrow.G.dtype == np.float64
+        assert narrow.G.tobytes() == plain.G.tobytes()
+
 
 class TestRevenueBaseline:
     @pytest.fixture
@@ -608,6 +661,50 @@ class TestModelFile:
         prov = fit_provenance(load, prices, config, created="t0")
         assert prov["load_digest"].startswith("sha256:")
         assert prov["created"] == "t0"
+
+    @pytest.mark.parametrize("config", [
+        tl.CalibrationConfig(),
+        tl.CalibrationConfig(flat_rate=0.05, elasticity_target=-1e-7, alpha=0.0,
+                             customers=1, connection_charge=-2.5),
+    ])
+    def test_fit_provenance_records_every_calibration_field(self, two_day_files, config):
+        load, prices = two_day_files
+        prov = fit_provenance(load, prices, config, created="t0")
+        keys = list(prov)
+        fields = list(prov.items())[
+            keys.index("prices_digest") + 1:keys.index("sigma_note")
+        ]
+        assert fields == [
+            (f.name, repr(getattr(config, f.name))) for f in dataclasses.fields(config)
+        ]
+        assert keys[-2:] == ["price_unit", "created"]
+        assert prov["price_unit"] == "kwh"
+        assert fit_provenance(load, prices, config, "t0", price_unit="mwh")[
+            "price_unit"
+        ] == "mwh"
+
+    def test_fit_provenance_of_numpy_inputs_reads_as_plain_numbers(self, two_day_files):
+        # each field is stored as a Python float or int, so its repr is plain
+        load, prices = two_day_files
+        config = tl.CalibrationConfig(
+            flat_rate=np.float64(0.172), elasticity_target=np.float32(-0.3),
+            alpha=np.float32(0.2), customers=np.int64(3),
+            connection_charge=np.float16(0.5),
+        )
+        prov = fit_provenance(load, prices, config, created="t0")
+        assert [prov[f.name] for f in dataclasses.fields(config)] == [
+            "0.172", "-0.30000001192092896", "0.20000000298023224", "3", "0.5"
+        ]
+
+    def test_non_integer_periods_named_when_the_memo_is_stale(self, tmp_path, i2_model):
+        path = tmp_path / "m.tlm"
+        tl.write_model_file(path, i2_model, provenance={"created": "t0"})
+        path.write_text(path.read_text().replace("periods = 2\n", "periods = x\n", 1))
+        assert memo_path(path).is_file()  # left under the old text's digest
+        with pytest.raises(tl.ModelFileError) as exc_info:
+            tl.read_model_file(path)
+        assert exc_info.value.line == 2
+        assert str(exc_info.value) == f"{path}:2: periods must be an integer"
 
     @pytest.mark.parametrize("value", ["two\nlines", "cr\rend", "form\x0cfeed", "ls\u2028x"])
     def test_multi_line_provenance_leaves_no_file(self, tmp_path, i2_model, value):

@@ -202,6 +202,21 @@ class TestFrontGeometry:
             assert ln.delta_cs < tp.delta_cs - 1e-6
 
 
+class TestFrontOrder:
+    def test_points_out_of_target_order_refused(self):
+        from tarifflab.pareto import ParetoFront, ParetoPoint
+
+        points = tuple(
+            ParetoPoint(F=F, delta_cs=0.0, delta_rs=0.0, delta_sw=0.0, tariff=None,
+                        feasible=False)
+            for F in (1.0, 3.0, 2.0)
+        )
+        with pytest.raises(ValueError) as exc_info:
+            ParetoFront(family="linear-optimal", points=points,
+                        baseline=FLAT_BASELINE, baseline_rs=0.25)
+        assert str(exc_info.value) == "front points must be sorted by F ascending"
+
+
 def _scanned_marker_points(front):
     """The marker placement `svg._marker_points` replaced: a scan of every
     feasible point for each infeasible one, `min` keeping the first nearest."""

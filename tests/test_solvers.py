@@ -82,6 +82,12 @@ class TestSolveTwoPart:
 
 
 class TestSolveLinear:
+    @pytest.mark.parametrize("rho", [-1e-9, 1.0 + 1e-9, math.nan])
+    def test_solution_refuses_rho_outside_the_unit_interval(self, rho):
+        with pytest.raises(ValueError) as exc_info:
+            tl.RamseySolution(prices=np.ones(2), rho=rho, gamma=1.0, achieved_rs=0.0)
+        assert str(exc_info.value) == "markup intensity must lie in [0, 1]"
+
     def test_f_zero_is_efficient_endpoint(self, i2_model):
         sol = tl.solve_linear(i2_model, 0.0)
         assert sol.rho == pytest.approx(0.0, abs=1e-8)
@@ -312,6 +318,16 @@ class TestSolveFixedATwoPart:
     def test_infeasible_residual_propagates(self, i2_model):
         with pytest.raises(tl.InfeasibleTarget):
             tl.solve_fixed_A_two_part(i2_model, 24.0, -10.0)  # residual 34 > 32
+
+    def test_non_finite_residual_refused(self, i2_model):
+        # 1e308 - 2 * (-1e308) overflows: no margin is left to collect
+        model = dataclasses.replace(i2_model, customers=2)
+        with pytest.raises(ValueError) as exc_info:
+            tl.solve_fixed_A_two_part(model, 1e308, -1e308)
+        assert str(exc_info.value) == (
+            "revenue target 1e+308 less the connection charge -1e+308 times 2 "
+            "customers is not finite"
+        )
 
 
 class TestSolveAdjustedFlat:
