@@ -1,9 +1,10 @@
 """Command-line surface: fit, solve, pareto, check.
 
-Exit codes: 0 ok, 2 input error, 3 infeasible revenue target, 4 failed
-diagnostics. Monetary figures print in $/cycle with 4 significant figures;
-CSV outputs carry machine precision (repr round-trip). Every output file
-embeds its provenance (model files) or gets a sidecar `<out>.manifest.json`.
+Exit codes: 0 ok, 1 stdout closed (after every file is written), 2 input
+error, 3 infeasible revenue target, 4 failed diagnostics. Monetary figures
+print in $/cycle with 4 significant figures; CSV outputs carry machine
+precision (repr round-trip). Every output file embeds its provenance (model
+files) or gets a sidecar `<out>.manifest.json`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import pickle
 import sys
 import warnings
@@ -46,7 +48,6 @@ from .model import (
     checked_baseline,
     flat_rate_elasticity,
     retailer_surplus,
-    welfare_gains,
 )
 
 if TYPE_CHECKING:
@@ -249,35 +250,22 @@ def print_solution(
 
 
 def cmd_solve(args) -> int:
-    from .pareto import FAMILIES, ParetoFront, ParetoPoint
+    from .pareto import ParetoFront, solve_point
 
     model, baseline, digest = _load_model(args)
     F = _resolve_target(args.target_rs, model, baseline)
     family = _ALIASES[args.family]
-    tariff, diagnostics = FAMILIES[family].solve(model, F, baseline)
-    report = welfare_gains(model, tariff, baseline)
-    print_solution(family, F, tariff, report, diagnostics)
+    point, report, diagnostics = solve_point(model, family, F, baseline)
     if args.out:
-        point = ParetoPoint(
-            F=F,
-            delta_cs=report.delta_cs,
-            delta_rs=report.delta_rs,
-            delta_sw=report.delta_sw,
-            tariff=tariff,
-            feasible=True,
-        )
-        front = ParetoFront(
-            family=family,
-            points=(point,),
-            baseline=baseline,
-            baseline_rs=retailer_surplus(model, baseline),
-        )
+        front = ParetoFront(family=family, points=(point,), baseline=baseline,
+                            baseline_rs=retailer_surplus(model, baseline))
         Path(args.out).write_text(front_csv([front], model.periods))
         _write_manifest(
             args.out, "solve", digest,
             {"family": family, "target_rs": args.target_rs,
              **_baseline_flags(baseline)},
         )
+    print_solution(family, F, point.tariff, report, diagnostics)
     return 0
 
 
@@ -322,14 +310,13 @@ def cmd_pareto(args) -> int:
     if args.out:
         Path(args.out).write_text(csv_text)
         _write_manifest(args.out, "pareto", digest, flags)
-        print(f"front table written to {args.out}")
-    else:
-        sys.stdout.write(csv_text)
     if args.svg:
         from .svg import render_fronts
 
         Path(args.svg).write_text(render_fronts(fronts))
         _write_manifest(args.svg, "pareto", digest, flags)
+    sys.stdout.write(f"front table written to {args.out}\n" if args.out else csv_text)
+    if args.svg:
         print(f"front plot written to {args.svg}")
     return 0
 
@@ -454,7 +441,13 @@ def main(argv=None) -> int:
 
     default_format, warnings.formatwarning = warnings.formatwarning, plain_warning
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # stdout was closed; every file is already written
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InfeasibleTarget, InvalidRegime) as exc:
         print(exc, file=sys.stderr)
         return 3

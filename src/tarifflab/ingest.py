@@ -73,7 +73,10 @@ class CalibrationConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:  # an int or Fraction beyond the float range
+                raise ValueError(f"{name} is too large for a float") from None
         if not isinstance(self.customers, numbers.Integral):
             raise ValueError(f"customers must be an integer, got {self.customers!r}")
         object.__setattr__(self, "customers", int(self.customers))

@@ -212,13 +212,9 @@ class DemandModel:
 
         Each row is settled per scenario: the mean of (pi - lam_j)' D_j.
         """
-        ss = self.scenarios
-        margins = []
-        for pi in np.atleast_2d(prices):
-            total = 0.0
-            for j in range(ss.n_scenarios):
-                total += float((pi - ss.lams[j]) @ self.demand(pi, j))
-            margins.append(total / ss.n_scenarios)
+        lams = self.scenarios.lams
+        margins = [np.vecdot(self.scenario_demands(pi), pi - lams).mean()
+                   for pi in np.atleast_2d(prices)]
         return np.reshape(margins, prices.shape[:-1])
 
 

@@ -10,10 +10,10 @@ import numpy as np
 
 from .errors import InfeasibleTarget, InvalidRegime, TooFewPoints
 from .model import (
-    FAMILY_ALIASES,
     TARIFF_FAMILIES,
     LinearDemandModel,
     Tariff,
+    WelfareReport,
     retailer_surplus,
     welfare_gains,
 )
@@ -30,8 +30,7 @@ from .solvers import (
 
 @dataclass(frozen=True)
 class Family:
-    """One tariff family: its name, plot colour and solver, and its CLI
-    aliases from `model.FAMILY_ALIASES`.
+    """One tariff family: its name, plot colour and solver.
 
     `solve(model, F, baseline)` returns the tariff and the diagnostics
     `solve` prints. The fixed-charge families keep the baseline's connection
@@ -43,10 +42,6 @@ class Family:
     name: str
     color: str
     solve: Callable[..., tuple[Tariff, dict[str, float]]]
-
-    @property
-    def aliases(self) -> tuple[str, ...]:
-        return FAMILY_ALIASES[self.name]
 
 
 def _ramsey_diagnostics(solution: RamseySolution) -> dict[str, float]:
@@ -136,17 +131,29 @@ def default_revenue_grid(model: LinearDemandModel, steps: int = 41) -> np.ndarra
     return np.linspace(ends.two_part[1], ends.monopoly[1], steps)
 
 
+def solve_point(
+    model: LinearDemandModel, family: str, F: float, baseline: Tariff
+) -> tuple[ParetoPoint, WelfareReport, dict[str, float]]:
+    """`family` at target F: its feasible point, its gains over `baseline` and
+    the diagnostics `solve` prints. A target out of the family's range raises."""
+    tariff, diagnostics = FAMILIES[family].solve(model, F, baseline)
+    report = welfare_gains(model, tariff, baseline)
+    return ParetoPoint(
+        F=F, delta_cs=report.delta_cs, delta_rs=report.delta_rs,
+        delta_sw=report.delta_sw, tariff=tariff, feasible=True,
+    ), report, diagnostics
+
+
 def sweep(
     model: LinearDemandModel,
     baseline: Tariff,
     families,
     F_grid,
 ) -> list[ParetoFront]:
-    """Solve each family across the revenue-target grid.
+    """Each family across the revenue-target grid, one `solve_point` a target.
 
     Targets a family cannot meet are recorded in-band as infeasible points so
-    the frontier F = phi_bar(pi_M) stays visible. Each family solves from
-    `baseline` as `Family.solve` does, and every gain is relative to it.
+    the frontier F = phi_bar(pi_M) stays visible.
     """
     requested = set(families)
     unknown = requested - set(FAMILIES)
@@ -159,28 +166,19 @@ def sweep(
     order = sorted(range(len(targets)), key=lambda i: targets[i])
     baseline_rs = retailer_surplus(model, baseline)
 
-    def solve_point(family: Family, F: float) -> ParetoPoint:
+    def point_at(family: str, F: float) -> ParetoPoint:
         try:
-            tariff, _ = family.solve(model, F, baseline)
+            return solve_point(model, family, F, baseline)[0]
         except (InfeasibleTarget, InvalidRegime):
             return ParetoPoint(
                 F=F, delta_cs=math.nan, delta_rs=math.nan, delta_sw=math.nan,
                 tariff=None, feasible=False,
             )
-        report = welfare_gains(model, tariff, baseline)
-        return ParetoPoint(
-            F=F,
-            delta_cs=report.delta_cs,
-            delta_rs=report.delta_rs,
-            delta_sw=report.delta_sw,
-            tariff=tariff,
-            feasible=True,
-        )
 
     return [
         ParetoFront(
             family=name,
-            points=tuple(solve_point(FAMILIES[name], targets[i]) for i in order),
+            points=tuple(point_at(name, targets[i]) for i in order),
             baseline=baseline,
             baseline_rs=baseline_rs,
         )

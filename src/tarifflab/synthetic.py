@@ -14,6 +14,7 @@ Regenerate with `python -m tarifflab.synthetic --out-dir <dir>`.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -140,11 +141,16 @@ def main(argv=None) -> int:
         load_path, prices_path = write_synthetic_csvs(
             args.out_dir, args.days, args.periods, args.seed
         )
+        print(f"wrote {load_path}")
+        print(f"wrote {prices_path}")
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+    except BrokenPipeError:
+        # stdout was closed; both files are already written
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {load_path}")
-    print(f"wrote {prices_path}")
     return 0
 
 

@@ -14,11 +14,12 @@ import pytest
 import tarifflab as tl
 from conftest import model_payload_text
 from tarifflab.cli import front_csv, main
+from tarifflab.model import FAMILY_ALIASES
 from tarifflab.solvers import rs_tolerance
 from tarifflab.pareto import FAMILIES
 
 # every spelling `--family` and `--families` accept
-FAMILY_SPELLINGS = [a for f in FAMILIES.values() for a in (f.name, *f.aliases)]
+FAMILY_SPELLINGS = [a for name, aliases in FAMILY_ALIASES.items() for a in (name, *aliases)]
 
 
 @pytest.fixture
@@ -469,20 +470,27 @@ class TestSolve:
         assert (tmp_path / "solution.csv.manifest.json").exists()
 
     @pytest.mark.parametrize("family", FAMILY_SPELLINGS)
-    def test_solve_matches_pareto_to_printed_digit(self, i2_model_file, capsys, family):
+    def test_solve_matches_pareto_to_printed_digit(
+        self, i2_model_file, tmp_path, capsys, family
+    ):
         code = main([
             "solve", "--model", str(i2_model_file), "--family", family,
-            "--target-rs", "24",
+            "--target-rs", "24", "--out", str(tmp_path / "solve.csv"),
         ])
         assert code == 0
         solve_out = capsys.readouterr().out
         code = main([
             "pareto", "--model", str(i2_model_file), "--families", family,
             "--f-min", "24", "--f-max", "24", "--steps", "1",
+            "--out", str(tmp_path / "pareto.csv"),
         ])
         assert code == 0
-        csv_out = capsys.readouterr().out.splitlines()
-        row = csv_out[1].split(",")
+        capsys.readouterr()
+        csv_out = (tmp_path / "pareto.csv").read_bytes().splitlines()
+        # header and data row: the solve row is the sweep row, byte for byte
+        assert (tmp_path / "solve.csv").read_bytes().splitlines() == csv_out
+        assert len(csv_out) == 2
+        row = csv_out[1].decode().split(",")
         assert row[5] == "true"
         assert f"family: {row[0]}" in solve_out
         for label, value in (
@@ -843,6 +851,58 @@ class TestWarnings:
         assert "warning: linear tariff: price vector has negative entries" in lines
         assert not [line for line in lines if ".py:" in line]
         assert len(lines) == len(set(lines))
+
+
+class TestClosedStdout:
+    """A stdout whose reader has gone loses only stdout: every file is
+    written, nothing reaches stderr and the exit status is 1, not the
+    input-error 2."""
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("command, outputs", [
+        (["fit", "--load", "{load}", "--prices", "{prices}", "--out", "{d}/m.tlm"],
+         ["m.tlm"]),
+        (["solve", "--model", "{model}", "--family", "linear", "--target-rs",
+          "baseline", "--out", "{d}/s.csv"], ["s.csv", "s.csv.manifest.json"]),
+        (["pareto", "--model", "{model}", "--steps", "5", "--out", "{d}/p.csv",
+          "--svg", "{d}/p.svg"],
+         ["p.csv", "p.csv.manifest.json", "p.svg", "p.svg.manifest.json"]),
+        (["pareto", "--model", "{model}", "--steps", "5", "--svg", "{d}/p.svg"],
+         ["p.svg", "p.svg.manifest.json"]),
+        (["check", "--model", "{model}"], []),
+    ], ids=["fit", "solve", "pareto", "pareto-csv-to-stdout", "check"])
+    def test_cli_command(self, bundled_model_file, tmp_path, command, outputs, buffered):
+        from tarifflab.synthetic import bundled_dataset_paths
+
+        load, prices = bundled_dataset_paths()
+        argv = [arg.format(load=load, prices=prices, model=bundled_model_file, d=tmp_path)
+                for arg in command]
+        self._assert_only_stdout_lost(["tarifflab.cli", *argv], tmp_path, outputs, buffered)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_synthetic(self, tmp_path, buffered):
+        self._assert_only_stdout_lost(
+            ["tarifflab.synthetic", "--out-dir", str(tmp_path), "--days", "3"],
+            tmp_path, ["synthetic_load.csv", "synthetic_prices.csv"], buffered,
+        )
+
+    @staticmethod
+    def _assert_only_stdout_lost(argv, folder, outputs, buffered):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:  # each print writes, so the first one fails
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
+        written = [p for p in Path(folder).iterdir() if not p.name.endswith(".npz")]
+        assert sorted(p.name for p in written) == sorted(outputs)
+        assert all(p.stat().st_size for p in written)
 
 
 class TestTopLevel:

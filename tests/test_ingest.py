@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,18 @@ class TestCalibrateDemand:
         with pytest.raises(ValueError) as exc_info:
             tl.CalibrationConfig(**{field: value})
         assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("field, value", [
+        ("flat_rate", 10**400),
+        ("elasticity_target", -(10**400)),
+        ("alpha", 10**400),
+        ("connection_charge", Fraction(10**400, 3)),
+    ], ids=["flat_rate", "elasticity_target", "alpha", "connection_charge"])
+    def test_config_refuses_a_number_beyond_the_float_range(self, field, value):
+        # float() overflows on such a number; the refusal names the field
+        with pytest.raises(ValueError) as exc_info:
+            tl.CalibrationConfig(**{field: value})
+        assert str(exc_info.value) == f"{field} is too large for a float"
 
     def test_float32_inputs_calibrate_in_float64(self):
         # the same two values as Python floats give the same G, bit for bit
