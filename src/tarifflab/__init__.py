@@ -88,6 +88,7 @@ _EXPORTS = {
         "calibrate_demand",
         "estimate_moments",
         "parse_csv",
+        "parse_inputs",
         "read_model_file",
         "revenue_baseline",
         "toeplitz_kernel",

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import IndependenceWarning
 from .ingest import ModelFilePayload
 from .model import (
+    FD_STEP,
     DemandModel,
     LinearDemandModel,
     Tariff,
@@ -105,9 +106,11 @@ def _sample_prices(model: LinearDemandModel, count: int, seed: int) -> np.ndarra
 
 
 def check_gradient_identity(model: LinearDemandModel, baseline: Tariff) -> CheckResult:
-    """FD gradient of the consumer-surplus gain must equal -E[D(pi)]."""
+    """FD gradient of the consumer-surplus gain f must equal -E[D(pi)], relative
+    to max(1, max|E[D]|), within 1e-6 or the larger rounding floor 4 eps |f(pi)|
+    / FD_STEP of the gains it differences (none if f is not finite)."""
     rel_tol = 1e-6
-    worst = 0.0
+    worst = floor = 0.0
     for pi in _sample_prices(model, 10, seed=0):
         grad = fd_gradient(
             lambda p: consumer_surplus_gain(model, p, baseline), pi, stacked=True
@@ -115,9 +118,12 @@ def check_gradient_identity(model: LinearDemandModel, baseline: Tariff) -> Check
         dbar = expected_demand(model, pi)
         scale = max(1.0, float(np.abs(dbar).max()))
         worst = np.maximum(worst, float(np.abs(grad + dbar).max()) / scale)
-    status = "PASS" if worst <= rel_tol else "FAIL"
+        f = consumer_surplus_gain(model, pi, baseline)
+        floor = np.maximum(floor, 4 * np.finfo(float).eps * abs(f) / (FD_STEP * scale))
+    tol = max(rel_tol, floor) if np.isfinite(floor) else rel_tol
+    status = "PASS" if worst <= tol else "FAIL"
     return CheckResult(
-        "gradient-identity", status, f"max relative error {worst:.3e} (tol {rel_tol:g})"
+        "gradient-identity", status, f"max relative error {worst:.3e} (tol {tol:.3g})"
     )
 
 

@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import os
-import pickle
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -24,17 +23,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from ._forkjoin import Forked
 from .errors import InfeasibleTarget, InvalidRegime, NegativePrice, TariffLabError
 from .ingest import (
+    PRICE_UNITS,
     CalibrationConfig,
-    RawSeries,
-    _parse_dense,
     baseline_tariff,
     calibrate_demand,
     estimate_moments,
     fit_provenance,
-    parse_csv,
+    parse_inputs,
     read_model_file,
     revenue_baseline,
     write_model_file,
@@ -88,12 +85,6 @@ def _write_manifest(out_path, command: str, model_digest: str, flags: dict) -> N
     Path(str(out_path) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-
-
-def _scaled_prices(series: RawSeries, unit: str) -> RawSeries:
-    if unit == "kwh":
-        return series
-    return dataclasses.replace(series, values=series.values * 1e-3)
 
 
 def _load_model(args) -> tuple[LinearDemandModel, Tariff, str]:
@@ -159,16 +150,9 @@ def front_csv(fronts: list[ParetoFront], periods: int) -> str:
     for front in fronts:
         for p in front.points:
             if p.feasible:
-                prices = [repr(float(x)) for x in p.tariff.prices]
-                row = [
-                    front.family,
-                    repr(float(p.F)),
-                    repr(float(p.delta_cs)),
-                    repr(float(p.delta_rs)),
-                    repr(float(p.delta_sw)),
-                    "true",
-                    *prices,
-                ]
+                gains = (p.F, p.delta_cs, p.delta_rs, p.delta_sw)
+                row = [front.family, *(repr(float(x)) for x in gains), "true",
+                       *map(repr, p.tariff.prices.tolist())]
             else:
                 row = [front.family, repr(float(p.F))] + ["nan"] * 3 + ["false"]
                 row += ["nan"] * periods
@@ -176,36 +160,8 @@ def front_csv(fronts: list[ParetoFront], periods: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_csv_with_context(path, kind: str) -> RawSeries:
-    try:
-        return parse_csv(path, kind)
-    except TariffLabError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _parse_inputs(args) -> tuple[RawSeries, RawSeries]:
-    """The load and price series of `fit`.
-
-    The prices bytes are read first; a forked child (`Forked`) parses them
-    if they are clean while this process parses the load file. A prices
-    file that is not clean, or cannot be read, is parsed here after the load
-    file, so errors come in the same order and with the same text as from
-    two serial parses.
-    """
-    try:
-        data = Path(args.prices).read_bytes()
-    except OSError:
-        data = b""  # not clean: `parse_csv` reports the error
-    with Forked(lambda: [pickle.dumps(_parse_dense(data, "price"))]) as child:
-        load = _parse_csv_with_context(args.load, "load")
-        prices = pickle.loads(b"".join(child.blocks()))
-    if prices is None:
-        prices = _parse_csv_with_context(args.prices, "price")
-    return load, _scaled_prices(prices, args.price_unit)
-
-
 def cmd_fit(args) -> int:
-    load, prices = _parse_inputs(args)
+    load, prices = parse_inputs(args.load, args.prices, args.price_unit)
     try:
         scenarios = estimate_moments(load, prices)
     except NegativePrice as exc:
@@ -350,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="calibrate a demand model from load/price CSVs")
     fit.add_argument("--load", required=True, help="hourly load CSV (day,hour,value)")
     fit.add_argument("--prices", required=True, help="hourly price CSV (day,hour,value)")
-    fit.add_argument("--price-unit", choices=["kwh", "mwh"], default="kwh",
+    fit.add_argument("--price-unit", choices=list(PRICE_UNITS), default="kwh",
                      help="price unit in the CSV ($/kWh or $/MWh)")
     defaults = CalibrationConfig()
     fit.add_argument("--flat-rate", type=float, default=defaults.flat_rate,

@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 import os
+import pickle
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -36,6 +37,7 @@ from .errors import (
     NonPositiveLoad,
     ScaleNonPositive,
     SingleScenario,
+    TariffLabError,
 )
 from .model import (
     LinearDemandModel,
@@ -47,6 +49,8 @@ from .model import (
 )
 
 SERIES_KINDS = ("load", "price")
+# the factor that takes each price unit `fit` reads to $/kWh
+PRICE_UNITS = {"kwh": 1.0, "mwh": 1e-3}
 MODEL_FORMAT = "tarifflab-model/1"
 
 
@@ -144,13 +148,48 @@ def parse_csv(path, kind: str) -> RawSeries:
     """
     if kind not in SERIES_KINDS:
         raise ValueError(f"kind must be one of {SERIES_KINDS}, got {kind!r}")
-    path = Path(path)
-    data = path.read_bytes()
+    return _parse_bytes(Path(path).read_bytes(), kind)
+
+
+def _parse_bytes(data: bytes, kind: str) -> RawSeries:
+    """`parse_csv` of a file's bytes."""
     series = _parse_dense(data, kind)
     if series is None:
         _decode(data, MalformedRow)  # locate a byte that is not UTF-8 first
         series = _parse_rows(data, kind)
     return series
+
+
+def parse_inputs(
+    load_path, prices_path, price_unit: str = "kwh"
+) -> tuple[RawSeries, RawSeries]:
+    """`fit`'s load and price series, each parsed as `parse_csv` does with an
+    error that names its file, the prices scaled to $/kWh. A forked child
+    (`Forked`) parses the prices bytes, read first, while this process parses
+    the load; a child that does not deliver, the prices' error included,
+    leaves them to this process after the load, as two serial parses would."""
+    if price_unit not in PRICE_UNITS:
+        raise ValueError(f"price unit must be one of {tuple(PRICE_UNITS)}")
+    data = None  # a file that cannot be read is read again after the load
+    with contextlib.suppress(OSError):
+        data = Path(prices_path).read_bytes()
+
+    def prices():
+        series = _parse_named(prices_path, data, "price")
+        scaled = series.values * PRICE_UNITS[price_unit]
+        return [pickle.dumps(dataclasses.replace(series, values=scaled))]
+
+    with Forked(prices) as child:
+        load = _parse_named(load_path, None, "load")
+        return load, pickle.loads(b"".join(child.blocks()))
+
+
+def _parse_named(path, data: bytes | None, kind: str) -> RawSeries:
+    """`_parse_bytes` of `data` (None: the file's); a parse error names the file."""
+    try:
+        return _parse_bytes(Path(path).read_bytes() if data is None else data, kind)
+    except TariffLabError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # a clean file's header, with LF or CRLF line ends

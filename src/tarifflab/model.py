@@ -30,19 +30,20 @@ FAMILY_ALIASES = {
 TARIFF_FAMILIES = tuple(FAMILY_ALIASES)
 
 _SYMMETRY_TOL = 1e-12
+FD_STEP = 1e-5  # `central_difference`'s step at prices of magnitude 1 or less
 
 
 def central_difference(f, pi, *, stacked: bool = False) -> np.ndarray:
     """Central-difference derivative of f at pi, one column per coordinate.
 
-    The step is 1e-5 * max(1, |pi_t|), the package-wide finite-difference
+    The step is FD_STEP * max(1, |pi_t|), the package-wide finite-difference
     convention. Scalar f gives the gradient; vector f gives the Jacobian.
     f is called on each point pi + h_t e_t, then each pi - h_t e_t; with
     `stacked` it is called once, on the (2N, N) stack of those points.
     """
     pi = np.asarray(pi, dtype=float)
     n = pi.size
-    h = 1e-5 * np.maximum(1.0, np.abs(pi))
+    h = FD_STEP * np.maximum(1.0, np.abs(pi))
     points = np.repeat(pi[np.newaxis], 2 * n, axis=0)
     points[np.arange(n), np.arange(n)] += h
     points[np.arange(n, 2 * n), np.arange(n)] -= h

@@ -94,18 +94,13 @@ def settle_scenarios(model: DemandModel, tariff: Tariff) -> SettlementLedger:
 def _point_blocks(grid: GridSpec, flat: bool):
     """Yield (K, N) blocks of grid points in lexicographic order."""
     n = len(grid.axes)
-    if flat:
-        pts = grid.axis_points(0)
-        yield np.repeat(pts[:, None], n, axis=1)
-        return
-    if n == 1:
-        yield grid.axis_points(0)[:, None]
+    if flat or n == 1:
+        yield np.repeat(grid.axis_points(0)[:, None], n, axis=1)
         return
     # block per leading-axis value keeps memory bounded for 3-D grids
     tail = np.array(list(itertools.product(*[grid.axis_points(i) for i in range(1, n)])))
-    lead = grid.axis_points(0)
     block = np.empty((tail.shape[0], n))
-    for x in lead:
+    for x in grid.axis_points(0):
         block[:, 0] = x
         block[:, 1:] = tail
         yield block

@@ -523,7 +523,8 @@ def solve_adjusted_flat(
     The rate is the low-markup root of phi_bar(1 * rate) + M * A_fixed = F,
     whatever `base_rate` is: `base_rate` only anchors the reported delta and
     does not move the rate. At F equal to the surplus of the flat tariff
-    (A_fixed, base_rate), delta is 0.
+    (A_fixed, base_rate), delta is 0 if base_rate is at or below the flat peak;
+    above it the root is the rate below the peak with that margin: delta < 0.
     """
     rate = _at_residual(_flat_low_root, model, F, A_fixed)
     pi = np.full(model.periods, rate)

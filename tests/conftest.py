@@ -82,6 +82,14 @@ def random_linear_model(
                                 customers=customers)
 
 
+def rewrite_unclean(path) -> None:
+    """Rewrite a clean series CSV with the same values as a file numpy's
+    reader leaves to the row reader: `, ` separators and a quoted day."""
+    rows = path.read_text().splitlines()[1:]
+    path.write_text("day, hour, value\n" + "".join(
+        '"{}",{}, {}\n'.format(*row.split(",")) for row in rows))
+
+
 def model_payload_text(path) -> str:
     """The payload portion of a model file (everything above provenance)."""
     keep = []

@@ -802,6 +802,21 @@ class TestCheck:
         assert code == 0, out
         assert "PASS oracle-linear" in out
 
+    def test_kwh_scale_loads_pass_with_the_default_flags(self, tmp_path, capsys):
+        # the gradient screen's error, 1.851e-6, is the rounding of the
+        # baseline's M A = 1.144e6 $/cycle over h = 1e-5: within its floor
+        load = tmp_path / "load.csv"
+        load.write_text("day,hour,value\n0,0,5\n0,1,6\n1,0,7\n1,1,8\n")
+        prices = tmp_path / "prices.csv"
+        prices.write_text("day,hour,value\n0,0,0.03\n0,1,0.04\n1,0,0.05\n1,1,0.035\n")
+        model = tmp_path / "m.tlm"
+        assert main(["fit", "--load", str(load), "--prices", str(prices),
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--model", str(model)]) == 0
+        assert "PASS gradient-identity: max relative error 1.851e-06" in (
+            capsys.readouterr().out)
+
     @pytest.mark.parametrize("alpha, code, status", [("0.995", 0, "PASS"), ("0.999", 4, "FAIL")])
     def test_hessian_screen_on_strongly_coupled_bundled_models(
         self, tmp_path, capsys, alpha, code, status

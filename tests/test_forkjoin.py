@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tarifflab as tl
-from conftest import model_payload_text, random_linear_model
+from conftest import model_payload_text, random_linear_model, rewrite_unclean
 from tarifflab import _forkjoin, cli, ingest, synthetic
 from tarifflab._forkjoin import BLOCK, Forked
 from tarifflab.cli import main
@@ -80,7 +80,8 @@ def _in_child(action, real):
 
 
 # the ways a child's share gets done: `setup(monkeypatch, target)` where
-# `target` is (module, name) of a function only the child's share calls
+# `target` is (module, name) of a function the child's share calls; the
+# stand-ins act in a child only, so the parent may call it too
 MODES = {
     "forked": lambda mp, target: None,
     "no-fork": lambda mp, target: mp.setattr(_forkjoin, "os", _NoFork()),
@@ -223,9 +224,29 @@ def test_fit_is_the_same_however_the_child_ends(tmp_path, csvs, monkeypatch, mod
     with monkeypatch.context() as patch:
         MODES["no-fork"](patch, None)
         want = _fit(*csvs, tmp_path / "serial.tlm")
-    MODES[mode](monkeypatch, (cli, "_parse_dense"))
+    MODES[mode](monkeypatch, (ingest, "_parse_bytes"))
     got = _fit(*csvs, tmp_path / f"{mode}.tlm")
     assert got == want and want[0] == 0
+    assert_no_child()
+
+
+def test_an_unclean_prices_file_is_parsed_in_the_child_alone(tmp_path, csvs, monkeypatch):
+    # quoted fields and `, ` separators leave the prices to the row reader,
+    # which the child runs; this process runs numpy on the clean load only
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(csvs[1].read_bytes())
+    rewrite_unclean(prices)
+    parent, calls = os.getpid(), []
+    for name in ("_parse_dense", "_parse_rows"):
+        def counted(*args, real=getattr(ingest, name), name=name):
+            if os.getpid() == parent:
+                calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(ingest, name, counted)
+    got = _fit(csvs[0], prices, tmp_path / "unclean.tlm")
+    assert calls == ["_parse_dense"]
+    assert got == _fit(*csvs, tmp_path / "clean.tlm") and got[0] == 0
     assert_no_child()
 
 
@@ -256,7 +277,7 @@ def test_fit_errors_come_in_order(tmp_path, monkeypatch, case, mode):
     with monkeypatch.context() as patch:
         MODES["no-fork"](patch, None)
         want = _fit(load, prices, tmp_path / "m.tlm")
-    MODES[mode](monkeypatch, (cli, "_parse_dense"))
+    MODES[mode](monkeypatch, (ingest, "_parse_bytes"))
     assert _fit(load, prices, tmp_path / "m.tlm") == want
     assert want[0] == 0 or want[2].startswith("error: ")
     assert_no_child()
@@ -264,8 +285,8 @@ def test_fit_errors_come_in_order(tmp_path, monkeypatch, case, mode):
 
 def test_malformed_load_while_the_child_parses(tmp_path, csvs, monkeypatch):
     load = _bad(tmp_path, "load.csv", b"day,hour,value\n0,0,x\n")
-    monkeypatch.setattr(
-        cli, "_parse_dense", _in_child(lambda: time.sleep(60), cli._parse_dense))
+    sleeping = _in_child(lambda: time.sleep(60), ingest._parse_bytes)
+    monkeypatch.setattr(ingest, "_parse_bytes", sleeping)
     start = time.perf_counter()
     code, _, err, payload = _fit(load, csvs[1], tmp_path / "m.tlm")
     assert time.perf_counter() - start < 30

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_model_reader
 import tarifflab as tl
-from conftest import model_payload_text, random_linear_model
+from conftest import model_payload_text, random_linear_model, rewrite_unclean
 from tarifflab.ingest import (
     _fmt_vector,
     _parse_dense,
@@ -310,6 +310,42 @@ def test_fast_path_agrees_with_row_reader(tmp_path_factory, case):
     assert _outcome(tl.parse_csv, path, kind) == _outcome(
         lambda p, k: _parse_rows(p.read_bytes(), k), path, kind
     )
+
+
+class TestParseInputs:
+    """`parse_inputs` is two `parse_csv` calls, errors named by file, and the
+    prices scaled to $/kWh."""
+
+    @pytest.mark.parametrize("unit, scale", [("kwh", None), ("mwh", 1e-3)])
+    @pytest.mark.parametrize("clean", [True, False])
+    def test_equals_two_parses_and_the_scaling(self, tmp_path, unit, scale, clean):
+        load, prices = write_synthetic_csvs(tmp_path, 6, 4, 5)
+        if not clean:
+            rewrite_unclean(load)
+            rewrite_unclean(prices)
+            assert _parse_dense(prices.read_bytes(), "price") is None
+        want_load, want_prices = tl.parse_csv(load, "load"), tl.parse_csv(prices, "price")
+        if scale is not None:
+            want_prices = dataclasses.replace(
+                want_prices, values=want_prices.values * scale)
+        got = tl.parse_inputs(load, prices, unit)
+        for series, want in zip(got, (want_load, want_prices)):
+            assert series.values.tobytes() == want.values.tobytes()
+            assert series.day_labels == want.day_labels
+
+    def test_errors_name_their_file(self, tmp_path, two_day_files):
+        load, prices = two_day_files
+        bad = write_csv(tmp_path / "bad.csv", ["0,0,x"])
+        for paths in ((bad, prices), (load, bad), (bad, bad)):
+            with pytest.raises(ValueError) as exc_info:
+                tl.parse_inputs(*paths)
+            assert str(exc_info.value).startswith(f"{bad}: line 2: value is not")
+        with pytest.raises(FileNotFoundError):
+            tl.parse_inputs(load, tmp_path / "missing.csv")
+
+    def test_unknown_unit_refused(self, two_day_files):
+        with pytest.raises(ValueError, match="price unit must be one of"):
+            tl.parse_inputs(*two_day_files, "gwh")
 
 
 class TestEstimateMoments:

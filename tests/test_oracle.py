@@ -334,6 +334,49 @@ class TestCheckOracles:
         assert linear.status == "PASS"
 
 
+class TestGradientScreen:
+    """`gradient-identity` holds the error to 1e-6 or, if larger, to the
+    rounding floor of the gains it differences."""
+
+    def _result(self, load, prices, **config):
+        scenarios = tl.estimate_moments(*tl.parse_inputs(load, prices))
+        config = tl.CalibrationConfig(**config)
+        model = tl.calibrate_demand(scenarios, config)
+        return checks.check_gradient_identity(model, tl.baseline_tariff(model, config))
+
+    def test_kwh_scale_loads_under_a_large_connection_charge_pass(self, tmp_path):
+        # the gain carries M A = 1.144e6 $/cycle; its rounding over h = 1e-5
+        # is an error of 1.851e-6 of these few-kWh demands
+        load = tmp_path / "load.csv"
+        load.write_text("day,hour,value\n0,0,5\n0,1,6\n1,0,7\n1,1,8\n")
+        prices = tmp_path / "prices.csv"
+        prices.write_text("day,hour,value\n0,0,0.03\n0,1,0.04\n1,0,0.05\n1,1,0.035\n")
+        result = self._result(load, prices)
+        assert result.status == "PASS"
+        error, tol = map(float, re.fullmatch(
+            r"max relative error (\S+) \(tol (\S+)\)", result.detail).groups())
+        assert 1e-6 < error < tol
+        exact = self._result(load, prices, customers=1, connection_charge=0.0)
+        assert exact.detail.endswith("(tol 1e-06)")
+
+    def test_a_nearly_singular_kernel_passes(self):
+        from tarifflab.synthetic import bundled_dataset_paths
+
+        result = self._result(*bundled_dataset_paths(), alpha=0.99999)
+        assert result.status == "PASS" and not result.detail.endswith("(tol 1e-06)")
+
+    def test_a_seeded_demand_error_fails(self, bundled_model, monkeypatch):
+        baseline = tl.baseline_tariff(bundled_model, tl.CalibrationConfig())
+        assert checks.check_gradient_identity(bundled_model, baseline).status == "PASS"
+        real = checks.expected_demand
+        monkeypatch.setattr(
+            checks, "expected_demand", lambda model, pi: (1 + 1e-5) * real(model, pi)
+        )
+        result = checks.check_gradient_identity(bundled_model, baseline)
+        assert result.status == "FAIL"
+        assert result.detail.endswith("(tol 1e-06)")
+
+
 class TestScreensFailOnNan:
     def test_gradient_identity_fails_on_an_overflowing_baseline(self, bundled_model):
         # M A overflows, so every finite-difference gradient of the gain is

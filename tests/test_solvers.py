@@ -340,6 +340,29 @@ class TestSolveAdjustedFlat:
         assert tariff.prices[0] == pytest.approx(base_rate, abs=1e-9)
         assert tariff.connection_charge == A
 
+    @pytest.mark.parametrize("base_rate, rate", [(1.5, 1.5), (5.125, 5.125), (7.0, 3.25)])
+    def test_delta_at_the_surplus_of_the_base_rate(self, i2_model, base_rate, rate):
+        # the margin -2 p^2 + 20.5 p - 26 peaks at 5.125: at or below the
+        # peak the base rate is the low root, above it the root is its mirror
+        F = tl.phi_bar(i2_model, [base_rate, base_rate])
+        tariff = tl.solve_adjusted_flat(i2_model, F, base_rate, 0.0)
+        assert tariff.prices[0] == pytest.approx(rate, abs=1e-9)
+
+    @pytest.mark.parametrize("base_rate", [0.172, 1.0])
+    def test_delta_on_either_side_of_the_bundled_flat_peak(self, bundled_model, base_rate):
+        peak = solvers._feasible_range(bundled_model).flat[2]
+        baseline = tl.Tariff(connection_charge=0.52, prices=np.full(24, base_rate),
+                             family="adjusted-flat")
+        F = tl.retailer_surplus(bundled_model, baseline)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, diagnostics = FAMILIES["adjusted-flat"].solve(bundled_model, F, baseline)
+        if base_rate <= peak:
+            assert abs(diagnostics["delta"]) < 1e-12 and not caught
+        else:  # -1.218: the rate 2 peak - 1 is negative
+            assert diagnostics["delta"] == pytest.approx(2 * (peak - base_rate), rel=1e-9)
+            assert [w.category for w in caught] == [tl.PriceSignWarning]
+
     def test_i2_f24_low_root(self, i2_model):
         # -2 p^2 + 20.5 p - 26 = 24 has roots 4 and 6.25; low-markup is 4
         tariff = tl.solve_adjusted_flat(i2_model, 24.0, 1.5, 0.0)
