@@ -8,9 +8,9 @@ h = 1e-5 * max(1, |pi_k|); second derivatives use the one-sided stencil of
 quadratic, so the stencil has no truncation error; it needs only the
 N(N+1)/2 + N + 1 points that determine a quadratic, and the large step
 suppresses cancellation noise at utility scale. The checks give both a
-function of a (K, N) stack of price vectors, as `phi_bar` and
-`consumer_surplus_gain` are, so a gradient is one call on its 2N points and
-a Hessian N calls of at most 2N + 1 points each. Errors fold with
+function of a (K, N) stack of price vectors, as `phi_bar` and the surplus
+term `_cs_term` are, so a gradient is one call on its 2N points and a
+Hessian N calls of at most 2N + 1 points each. Errors fold with
 `np.maximum`, which keeps a NaN, and every tolerance test fails on NaN.
 """
 
@@ -28,9 +28,9 @@ from .model import (
     DemandModel,
     LinearDemandModel,
     Tariff,
+    _cs_term,
     central_difference,
     checked_baseline,
-    consumer_surplus_gain,
     expected_demand,
     g_screen,
     phi_bar,
@@ -105,20 +105,20 @@ def _sample_prices(model: LinearDemandModel, count: int, seed: int) -> np.ndarra
     return lo + rng.random((count, model.periods)) * (hi - lo)
 
 
-def check_gradient_identity(model: LinearDemandModel, baseline: Tariff) -> CheckResult:
-    """FD gradient of the consumer-surplus gain f must equal -E[D(pi)], relative
-    to max(1, max|E[D]|), within 1e-6 or the larger rounding floor 4 eps |f(pi)|
-    / FD_STEP of the gains it differences (none if f is not finite)."""
+def check_gradient_identity(model: LinearDemandModel) -> CheckResult:
+    """FD gradient of the consumer surplus f = pi' G pi / 2 - pi' omega_bar
+    must equal -E[D(pi)], relative to max(1, max|E[D]|), within 1e-6 or the
+    larger rounding floor 4 eps |f(pi)| / FD_STEP of the values it
+    differences (none if f is not finite). f leaves out the terms no
+    gain's gradient sees: the benefit offset, M A and a baseline's surplus."""
     rel_tol = 1e-6
     worst = floor = 0.0
     for pi in _sample_prices(model, 10, seed=0):
-        grad = fd_gradient(
-            lambda p: consumer_surplus_gain(model, p, baseline), pi, stacked=True
-        )
+        grad = fd_gradient(lambda p: _cs_term(model, p), pi, stacked=True)
         dbar = expected_demand(model, pi)
         scale = max(1.0, float(np.abs(dbar).max()))
         worst = np.maximum(worst, float(np.abs(grad + dbar).max()) / scale)
-        f = consumer_surplus_gain(model, pi, baseline)
+        f = _cs_term(model, pi)
         floor = np.maximum(floor, 4 * np.finfo(float).eps * abs(f) / (FD_STEP * scale))
     tol = max(rel_tol, floor) if np.isfinite(floor) else rel_tol
     status = "PASS" if worst <= tol else "FAIL"
@@ -275,7 +275,7 @@ def run_model_checks(payload: ModelFilePayload) -> list[CheckResult]:
         checked_baseline(model, baseline)
 
     results.append(check_assumption1_result(model))
-    results.append(check_gradient_identity(model, baseline))
+    results.append(check_gradient_identity(model))
     results.append(check_hessian_identity(model))
     results.append(check_phi_settlement(model))
 

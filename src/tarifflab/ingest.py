@@ -424,9 +424,10 @@ def revenue_baseline(
 
 # --- model file -------------------------------------------------------------
 #
-# Line-oriented `key = values` text, floats written with repr() so they
-# round-trip bit-exactly. Everything above the provenance block is the
-# payload; reruns on identical inputs produce byte-identical payloads.
+# Line-oriented `key = values` text, floats written as repr() writes them
+# (the scenario lines by `_floatfmt`, in bulk) so they round-trip
+# bit-exactly. Everything above the provenance block is the payload; reruns
+# on identical inputs produce byte-identical payloads.
 # Schema (order fixed by the writer):
 #
 #   format = tarifflab-model/1
@@ -502,9 +503,21 @@ def _head_lines(model: LinearDemandModel):
 
 
 def _scenario_lines(ss: ScenarioSet, days: range):
-    for j in days:
-        yield f"scenario.{j}.lambda = {_fmt_vector(ss.lams[j])}"
-        yield f"scenario.{j}.omega = {_fmt_vector(ss.omegas[j])}"
+    """The bytes of the scenario lines of `days`, a batch of about
+    `_floatfmt.CHUNK` values at a time."""
+    from ._floatfmt import CHUNK, lines
+
+    periods = ss.lams.shape[1]
+    step = max(1, CHUNK // (2 * periods))
+    for start in range(days.start, days.stop, step):
+        stop = min(start + step, days.stop)
+        block = np.stack([ss.lams[start:stop], ss.omegas[start:stop]], axis=1)
+        heads = [f"scenario.{j}.{key} = ".encode()
+                 for j in range(start, stop) for key in ("lambda", "omega")]
+        width = max(map(len, heads))
+        labels = b"".join(head.ljust(width, b"\0") for head in heads)
+        yield lines(block.reshape(-1, periods),
+                    np.frombuffer(labels, dtype=np.uint8).reshape(-1, width))
 
 
 def _tail_lines(baseline, provenance):
@@ -582,11 +595,12 @@ def write_model_file(
     payload = _written_payload(path, model, head, tail, provenance)
     ending = b"".join(_encoded(tail))  # text that is not UTF-8 is refused here
     digest = hashlib.sha256()
+    from . import _floatfmt  # noqa: F401 -- imported once, before the fork
     with (
-        Forked(lambda: _encoded(_scenario_lines(ss, second))) as child,
+        Forked(lambda: _scenario_lines(ss, second)) as child,
         path.open("wb") as fh,
     ):
-        first = _encoded(chain(head, _scenario_lines(ss, range(second.start))))
+        first = chain(_encoded(head), _scenario_lines(ss, range(second.start)))
         for data in chain(first, child.blocks(), [ending]):
             digest.update(data)
             fh.write(data)

@@ -87,13 +87,23 @@ def synthetic_series(
     return load, prices
 
 
+def _labels(count: int) -> np.ndarray:
+    """The text `f"{i},"` of each i in range(count), one uint8 row each,
+    right-aligned in NUL bytes."""
+    i = np.arange(count)[:, None]
+    power = 10 ** np.arange(len(str(count - 1)) - 1, -1, -1)
+    digits = (i // power % 10 + ord("0")) * ((i >= power) | (power == 1))
+    return np.hstack([digits, np.full((count, 1), ord(","))]).astype(np.uint8)
+
+
 def _series_bytes(values: np.ndarray) -> bytes:
     """The CSV text of a (days x periods) block, one `day,hour,value` row per cell."""
+    from ._floatfmt import lines
+
     days, periods = values.shape
-    hours = [f",{h}," for h in range(periods)]
-    labels = [f"{j}{h}" for j in range(days) for h in hours]
-    rows = map(str.__add__, labels, map(repr, values.ravel().tolist()))
-    return ("day,hour,value\n" + "\n".join(rows) + "\n").encode()
+    labels = np.hstack([np.repeat(_labels(days), periods, axis=0),
+                        np.tile(_labels(periods), (days, 1))])
+    return b"day,hour,value\n" + lines(values.reshape(-1, 1), labels)
 
 
 def write_synthetic_csvs(
@@ -109,6 +119,7 @@ def write_synthetic_csvs(
     load, prices = synthetic_series(days, periods, seed)
     load_path = out_dir / LOAD_FILENAME
     prices_path = out_dir / PRICES_FILENAME
+    from . import _floatfmt  # noqa: F401 -- imported once, before the fork
     with Forked(lambda: [_series_bytes(prices)]) as child:
         load_path.write_bytes(_series_bytes(load))
         prices_path.write_bytes(b"".join(child.blocks()))

@@ -20,7 +20,8 @@ from tarifflab.ingest import (
     memo_path,
     toeplitz_kernel,
 )
-from tarifflab.synthetic import write_synthetic_csvs
+from tarifflab import _floatfmt
+from tarifflab.synthetic import _series_bytes, write_synthetic_csvs
 
 
 def write_csv(path, rows, header="day,hour,value"):
@@ -775,10 +776,98 @@ def _reference_fmt(v) -> str:
     return " ".join(repr(float(x)) for x in np.asarray(v).ravel())
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+def _text(block) -> bytes:
+    """The formatter's text of `block`'s rows, unlabelled."""
+    return _floatfmt.lines(block, np.zeros((len(block), 0), dtype=np.uint8))
+
+
+def _neighbours(x: float, steps: int = 2) -> list[float]:
+    """x and the `steps` floats either side of it, both signs."""
+    out, up, down = [x], x, x
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [float(up), float(down)]
+    return out + [-v for v in out]
+
+
+# where the fast path's cases meet: its range ends (repr writes no exponent
+# from 1e-4 up to 1e16), significands that are powers of two, and powers of
+# ten, where the decimal exponent of the shortest digits changes
+EDGES = sorted({
+    v for x in [1e-4, 1e16, *(2.0**k for k in range(-16, 56)),
+                *(10.0**k for k in range(-6, 18))]
+    for v in _neighbours(x)
+})
+FINITE_BITS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.uint64(b).view(np.float64))).filter(np.isfinite)
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           np.nextafter(2.2250738585072014e-308, 0.0), 1.0, -1.0,
+                           float(2**53), 9999999999999998.0, 123456789012345.0])
+FLOAT_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    FINITE_BITS,
+    st.sampled_from(EDGES),
+    SPECIAL,
+    st.floats(1e-4, 1e16),  # the fast range
+    st.floats(-1e7, 1e7).map(round).map(float),  # integral values
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
+              min_value=-2.3e-308, max_value=2.3e-308),  # subnormals
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FLOAT_VALUES, max_size=20))
 def test_vector_format_matches_reference(xs):
-    assert _fmt_vector(np.array(xs, dtype=float)) == _reference_fmt(xs)
+    want = _reference_fmt(xs)
+    assert _fmt_vector(np.array(xs, dtype=float)) == want
+    if xs:
+        assert _text(np.array(xs, dtype=float).reshape(1, -1)) == (want + "\n").encode()
+
+
+def _mixed_block(rng, size: int) -> np.ndarray:
+    """Raw 64-bit patterns, fast-range values, edge neighbours and ties of
+    16 and 17 digits (2^50 + k/4 and 2^49 + k/4 lie halfway between two
+    candidates), shuffled."""
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([
+        bits[np.isfinite(bits)],
+        np.exp(rng.uniform(np.log(1e-4), np.log(1e16), size)) * rng.choice([-1, 1], size),
+        EDGES,
+        2.0**50 + np.arange(1, 40) / 4,
+        2.0**49 + np.arange(1, 40) / 4,
+        [0.0, -0.0, 5e-324, 1e-320],
+    ])
+    rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("cols", [1, 7, 96, 3 * _floatfmt.CHUNK + 5])
+def test_blocks_across_chunks_match_reference(cols):
+    values = _mixed_block(np.random.default_rng(cols), 2 * _floatfmt.CHUNK)
+    block = values[: values.size // cols * cols].reshape(-1, cols)
+    assert block.size > 2 * _floatfmt.CHUNK
+    assert _text(block).decode() == "".join(_reference_fmt(row) + "\n" for row in block)
+
+
+@settings(max_examples=20, deadline=None)
+@given(days=st.sampled_from([1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001]),
+       periods=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_series_bytes_match_repr(days, periods, seed):
+    # day labels of 1 to 5 digits, hour labels of 1 or 2; values drawn from
+    # every case of the formatter
+    periods = periods if days < 10001 else 1 + periods % 2
+    values = _mixed_block(np.random.default_rng(seed), days * periods)[: days * periods]
+    values = values.reshape(days, periods)
+    want = "day,hour,value\n" + "".join(
+        f"{j},{h},{v!r}\n" for j, row in enumerate(values.tolist()) for h, v in enumerate(row))
+    assert _series_bytes(values) == want.encode()
+
+
+def test_bundled_dataset_regenerates_byte_for_byte(tmp_path):
+    from tarifflab.synthetic import bundled_dataset_paths
+
+    got = write_synthetic_csvs(tmp_path, 92, 24, 20150601)
+    assert [p.read_bytes() for p in got] == [p.read_bytes() for p in bundled_dataset_paths()]
 
 
 # --- model files: the one-pass reader against the whole-file reference -----

@@ -506,6 +506,31 @@ def test_imports_are_lazy():
     ]
 
 
+def _quietly(module: str, *argvs: list[str]) -> str:
+    """Code that runs `main` of tarifflab.<module> on each argv, in turn,
+    with its stdout discarded; each must exit 0."""
+    calls = "".join(f"    assert main({argv!r}) == 0\n" for argv in argvs)
+    return (f"import contextlib, io\nfrom tarifflab.{module} import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n{calls}pass")
+
+
+def test_only_the_writers_load_the_float_formatter(tmp_path):
+    load, prices = write_synthetic_csvs(tmp_path, 5, 4, 1)  # N > 3: no grid oracle
+    model = str(tmp_path / "model.tlm")
+    fit = ["fit", "--load", str(load), "--prices", str(prices), "--out", model]
+    assert "tarifflab._floatfmt" in _loaded(_quietly("cli", fit))
+    # solve, pareto and check, one after another in one interpreter
+    reads = _quietly(
+        "cli",
+        ["solve", "--model", model, "--family", "linear", "--target-rs", "baseline"],
+        ["pareto", "--model", model, "--steps", "3"],
+        ["check", "--model", model],
+    )
+    assert "tarifflab._floatfmt" not in _loaded(reads)
+    assert "tarifflab._floatfmt" in _loaded(
+        _quietly("synthetic", ["--out-dir", str(tmp_path / "csv")]))
+
+
 def test_every_public_name_resolves():
     for name in tl.__all__:
         assert getattr(tl, name) is not None

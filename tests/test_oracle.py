@@ -334,30 +334,31 @@ class TestCheckOracles:
         assert linear.status == "PASS"
 
 
+def _kwh_repro(tmp_path):
+    """A 2-day, 2-period dataset of few-kWh loads."""
+    load = tmp_path / "load.csv"
+    load.write_text("day,hour,value\n0,0,5\n0,1,6\n1,0,7\n1,1,8\n")
+    prices = tmp_path / "prices.csv"
+    prices.write_text("day,hour,value\n0,0,0.03\n0,1,0.04\n1,0,0.05\n1,1,0.035\n")
+    return load, prices
+
+
 class TestGradientScreen:
     """`gradient-identity` holds the error to 1e-6 or, if larger, to the
-    rounding floor of the gains it differences."""
+    rounding floor of the surplus values it differences."""
 
     def _result(self, load, prices, **config):
         scenarios = tl.estimate_moments(*tl.parse_inputs(load, prices))
-        config = tl.CalibrationConfig(**config)
-        model = tl.calibrate_demand(scenarios, config)
-        return checks.check_gradient_identity(model, tl.baseline_tariff(model, config))
+        model = tl.calibrate_demand(scenarios, tl.CalibrationConfig(**config))
+        return checks.check_gradient_identity(model)
 
     def test_kwh_scale_loads_under_a_large_connection_charge_pass(self, tmp_path):
-        # the gain carries M A = 1.144e6 $/cycle; its rounding over h = 1e-5
-        # is an error of 1.851e-6 of these few-kWh demands
-        load = tmp_path / "load.csv"
-        load.write_text("day,hour,value\n0,0,5\n0,1,6\n1,0,7\n1,1,8\n")
-        prices = tmp_path / "prices.csv"
-        prices.write_text("day,hour,value\n0,0,0.03\n0,1,0.04\n1,0,0.05\n1,1,0.035\n")
-        result = self._result(load, prices)
-        assert result.status == "PASS"
-        error, tol = map(float, re.fullmatch(
-            r"max relative error (\S+) \(tol (\S+)\)", result.detail).groups())
-        assert 1e-6 < error < tol
-        exact = self._result(load, prices, customers=1, connection_charge=0.0)
-        assert exact.detail.endswith("(tol 1e-06)")
+        # a gain carries M A, 2.2e12 $/cycle at a charge of 1e6: differenced
+        # over h = 1e-5, its rounding read 5.346 against a floor of 50.5
+        for charge in (0.52, 1e3, 1e6):
+            result = self._result(*_kwh_repro(tmp_path), connection_charge=charge)
+            assert result.status == "PASS", charge
+            assert result.detail.endswith("(tol 1e-06)"), charge
 
     def test_a_nearly_singular_kernel_passes(self):
         from tarifflab.synthetic import bundled_dataset_paths
@@ -366,25 +367,34 @@ class TestGradientScreen:
         assert result.status == "PASS" and not result.detail.endswith("(tol 1e-06)")
 
     def test_a_seeded_demand_error_fails(self, bundled_model, monkeypatch):
-        baseline = tl.baseline_tariff(bundled_model, tl.CalibrationConfig())
-        assert checks.check_gradient_identity(bundled_model, baseline).status == "PASS"
+        assert checks.check_gradient_identity(bundled_model).status == "PASS"
         real = checks.expected_demand
         monkeypatch.setattr(
             checks, "expected_demand", lambda model, pi: (1 + 1e-5) * real(model, pi)
         )
-        result = checks.check_gradient_identity(bundled_model, baseline)
+        result = checks.check_gradient_identity(bundled_model)
+        assert result.status == "FAIL"
+        assert result.detail.endswith("(tol 1e-06)")
+
+    def test_a_seeded_demand_error_fails_under_a_large_connection_charge(
+        self, tmp_path, monkeypatch
+    ):
+        real = checks.expected_demand
+        monkeypatch.setattr(
+            checks, "expected_demand", lambda model, pi: (1 + 1e-5) * real(model, pi)
+        )
+        result = self._result(*_kwh_repro(tmp_path), connection_charge=1e6)
         assert result.status == "FAIL"
         assert result.detail.endswith("(tol 1e-06)")
 
 
 class TestScreensFailOnNan:
-    def test_gradient_identity_fails_on_an_overflowing_baseline(self, bundled_model):
-        # M A overflows, so every finite-difference gradient of the gain is
-        # NaN; a fold by `max` kept the first finite error and read PASS 0
-        baseline = tl.Tariff(connection_charge=1e308, prices=np.full(24, 0.172),
-                             family="adjusted-flat")
-        with np.errstate(invalid="ignore"):
-            result = checks.check_gradient_identity(bundled_model, baseline)
+    def test_gradient_identity_fails_on_a_nan_surplus(self, bundled_model, monkeypatch):
+        # a fold by `max` kept the first finite error and read PASS 0; a NaN
+        # surplus has no rounding floor either
+        monkeypatch.setattr(checks, "_cs_term", lambda model, pi: np.full(
+            np.shape(pi)[:-1], np.nan)[()])
+        result = checks.check_gradient_identity(bundled_model)
         assert result.status == "FAIL"
         assert result.detail == "max relative error nan (tol 1e-06)"
 
